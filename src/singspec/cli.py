@@ -175,8 +175,6 @@ def emit_report(f, hint, variables, text, args):
 
 def _dispatch(args):
     text, variables, f, hint = _read_input(args)
-    if args.trunc is not None:
-        set_truncation_start(args.trunc)
     verb = args.verb
     lines = []
     payload = None
@@ -307,6 +305,8 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     start = time.time()
+    if args.trunc is not None:
+        prev_trunc = set_truncation_start(args.trunc)
     try:
         code = _dispatch(args)
     except UsageError as exc:
@@ -322,6 +322,9 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    finally:
+        if args.trunc is not None:
+            set_truncation_start(prev_trunc)
     if args.timing:
         print("elapsed: %.3f s" % (time.time() - start), file=sys.stderr)
     return code

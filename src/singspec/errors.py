@@ -14,7 +14,7 @@ class UnsupportedError(SingspecError):
 
 
 class NonIsolatedError(UnsupportedError):
-    """The Jacobian quotient did not stabilize: no isolated singularity."""
+    """No truncation up to the cap puts m^(N-2) in the Jacobian ideal."""
 
 
 class ZeroJacobianError(UnsupportedError):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, floor
 
-from .errors import UnsupportedError
+from .errors import ResourceCapError, UnsupportedError
 from .linalg import RowSpan
 from .localalg import (MilnorAlgebra, TruncatedSpace, _tjurina_span,
                        filtered_quotient_dims, ideal_membership,
@@ -248,7 +248,7 @@ def _pspan_space(f, alpha, p, order, ma):
             return space
         N += 4
         if N > 4 * ma.N + 40:
-            raise UnsupportedError("cannot reach filtration level %s "
+            raise ResourceCapError("cannot reach filtration level %s "
                                    "within truncation bounds" % (alpha + p))
 
 
@@ -560,13 +560,15 @@ def theorem2_check(f, hint=None):
 def theorem3_witness(f, hint=None, degree_cap=None):
     """Monomial g with f*g outside the Jacobian ideal and
     gamma_f(g) + 1 above the maximal spectral exponent; returns
-    (witness or None, searched degree cap)."""
+    (witness or None, searched degree cap).  The default cap is
+    exhaustive: deg g >= N - 2 - ord f puts f*g in m^{N-2}, inside the
+    Jacobian ideal."""
     ma = milnor_algebra(f)
     order = condition_a_order(f, hint)
     sp = steenbrink_spectrum(f, hint)
     alpha_max = sp.max_exponent()
     if degree_cap is None:
-        degree_cap = max(ma.N - 3 - f.degree(), 0)
+        degree_cap = max(ma.N - 3 - f.order(), 0)
     for m in ma.space.monomials:
         if sum(m) > degree_cap:
             continue
@@ -643,7 +645,8 @@ def prop2_witness(f, hint=None, degree_cap=None):
     """For f = h + x_n^2 with h in the first n-1 variables: searches a
     polynomial g in those variables with f*g outside the Jacobian ideal
     and v(g) + 2 above the maximal spectral exponent; verifies the
-    membership chain on success."""
+    membership chain on success.  The default degree cap is exhaustive,
+    as in theorem3_witness."""
     n = f.n
     xn_terms = {m: c for m, c in f.terms.items() if m[n - 1] != 0}
     square = (0,) * (n - 1) + (2,)
@@ -654,7 +657,7 @@ def prop2_witness(f, hint=None, degree_cap=None):
     sp = steenbrink_spectrum(f, hint)
     alpha_max = sp.max_exponent()
     if degree_cap is None:
-        degree_cap = max(ma.N - 3 - f.degree(), 0)
+        degree_cap = max(ma.N - 3 - f.order(), 0)
     for m in ma.space.monomials:
         if m[n - 1] != 0 or sum(m) > degree_cap:
             continue

@@ -2,17 +2,17 @@
 linear algebra modulo a power of the maximal ideal, filtered quotient
 dimensions, and Steenbrink spectrum extraction.
 
-The truncation degree N is grown until the Jacobian-ideal codimension
-stabilizes and the span provably contains m^{N-2}; by a Nakayama
-argument this makes truncated membership agree with analytic
-membership.
+The truncation degree N is grown until the truncated Jacobian span
+contains m^{N-2}; by Nakayama this certifies m^{N-2} inside the Jacobian
+ideal, so truncated membership agrees with analytic membership.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .errors import NonIsolatedError, UnsupportedError, ZeroJacobianError
+from .errors import (NonIsolatedError, ResourceCapError, UnsupportedError,
+                     ZeroJacobianError)
 from .linalg import RowSpan
 from .newton import (FiltrationOrder, is_nondegenerate, newton_filtration,
                      newton_polyhedron, order_of, swh_structure)
@@ -25,11 +25,14 @@ _N_START = None
 
 def set_truncation_start(N):
     """Override the starting truncation degree for subsequent Milnor
-    algebra computations (None restores the default heuristic)."""
+    algebra computations (None restores the default heuristic); returns
+    the previous setting."""
     global _N_START
+    prev = _N_START
     _N_START = None if N is None else int(N)
     milnor_algebra.cache_clear()
     _tjurina_span.cache_clear()
+    return prev
 
 
 class TruncatedSpace:
@@ -75,15 +78,16 @@ class TruncatedSpace:
                                    for i, c in vec.items()})
 
 
-def _insert_multiples(span, space, g):
-    """Insert the truncated images of x^nu * g for all |nu| < N - ord g."""
+def _insert_multiples(span, space, g, low=0):
+    """Insert the truncated images of x^nu * g, low <= |nu| < N - ord g."""
     if g.is_zero():
         return
-    N = space.N
-    room = N - g.order()
+    room = space.N - g.order()
     for m in space.monomials:
         if sum(m) >= room:
             break
+        if sum(m) < low:
+            continue
         prod = {}
         for expo, c in g.terms.items():
             col = space.index.get(tuple(a + b for a, b in zip(m, expo)))
@@ -147,25 +151,29 @@ def _validate_input(f):
 
 @lru_cache(maxsize=64)
 def milnor_algebra(f):
-    """Milnor algebra of f with verified truncation stability.
+    """Milnor algebra of f, truncated at the first certified degree N.
 
-    Grows N until the codimension repeats and m^{N-2} is inside the
-    truncated Jacobian span; failure by N = %d means the singularity is
-    not isolated.""" % N_MAX
+    The truncated span is (J + m^N)/m^N for the Jacobian ideal J.  Once
+    it holds every monomial of degree N-2 and N-1, m^{N-2} is inside
+    J + m * m^{N-2}, so m^{N-2} is inside J by Nakayama (Greuel-Pfister,
+    A Singular Introduction to Commutative Algebra, finite determinacy):
+    mu is the truncated codimension and membership in J is exact.  N
+    grows by 4 while this fails; failure by N = %d means the singularity
+    is not isolated, and a larger starting degree raises
+    ResourceCapError.""" % N_MAX
     _validate_input(f)
     N = max(2 * f.degree(), f.n + 2)
     if _N_START is not None:
         N = max(_N_START, f.n + 2)
-    prev = None
+    if N > N_MAX:
+        raise ResourceCapError("starting truncation degree %d exceeds the "
+                               "cap %d" % (N, N_MAX))
     while N <= N_MAX:
         space, span = jacobian_span(f, N)
-        codim = space.dimension - span.rank()
-        if prev is not None and prev[0] == codim \
-                and _contains_power(space, span, N - 2):
+        if _contains_power(space, span, N - 2):
             return MilnorAlgebra(f, N, space, span)
-        prev = (codim, space, span)
         N += 4
-    raise NonIsolatedError("Jacobian codimension did not stabilize by "
+    raise NonIsolatedError("Jacobian span does not contain m^(N-2) by "
                            "truncation degree %d" % N_MAX)
 
 
@@ -196,10 +204,7 @@ def ideal_membership(f, g, include_f):
     ma = milnor_algebra(f)
     if g.is_zero():
         return True
-    if g.degree() >= ma.N - 2:
-        raise UnsupportedError(
-            "degree of the queried element (%d) is too close to the "
-            "truncation degree %d" % (g.degree(), ma.N))
+    # to_vector drops only degrees >= N, which lie in m^N inside J
     span = _tjurina_span(f) if include_f else ma.span
     return span.contains(ma.space.to_vector(g))
 
@@ -281,22 +286,10 @@ def determinacy_bound(f):
     space = ma.space
     span = RowSpan()
     for i in range(1, f.n + 1):
-        fi = partial_derivative(f, i)
-        if fi.is_zero():
-            continue
-        room = space.N - fi.order()
-        for m in space.monomials:
-            if sum(m) >= room:
-                break
-            if sum(m) < 2:
-                continue
-            prod = {}
-            for expo, c in fi.terms.items():
-                col = space.index.get(tuple(a + b for a, b in zip(m, expo)))
-                if col is not None:
-                    prod[col] = prod.get(col, Fraction(0)) + c
-            span.insert(prod)
-    for k in range(1, space.N):
+        _insert_multiples(span, space, partial_derivative(f, i), 2)
+    # Nakayama needs m^N inside m * m^{k+1}, i.e. k + 1 <= N - 1; beyond
+    # that the check is vacuous and mu + 1 is the proven bound
+    for k in range(1, space.N - 1):
         if _contains_power(space, span, k + 1):
             return min(k, ma.mu + 1)
     return ma.mu + 1

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from singspec.cli import main
+from singspec.localalg import milnor_algebra
+from singspec.polycore import parse_polynomial
 
 
 def run(capsys, *argv):
@@ -165,6 +167,21 @@ def test_unsupported_exit_2(capsys):
     code, _, err = run(capsys, "milnor", "x^2*y^2")
     assert code == 2
     assert "unsupported" in err
+    assert "NonIsolatedError" in err
+
+
+def test_truncation_cap_exit_3(capsys):
+    # isolated (mu = 39), but the starting degree 80 is above the cap
+    code, _, err = run(capsys, "milnor", "x^40 + y^2")
+    assert code == 3
+    assert "resource cap" in err
+
+
+def test_trunc_flag_does_not_leak(capsys):
+    code, out, _ = run(capsys, "milnor", "x^5 + y^4", "--trunc", "40")
+    assert (code, out) == (0, "mu = 12\n")
+    f = parse_polynomial("x^3 + y^3", ["x", "y"])
+    assert milnor_algebra(f).N == 6
 
 
 def test_timing_flag(capsys):
