@@ -4,14 +4,17 @@ checks, and the non-monotonicity scan."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from singspec.hodge import (epsilon_f, hodge_ideal_member,
+from singspec.hodge import (_op_chain, epsilon_f, hodge_ideal_member,
                             hodge_ideal_spectrum, monotonicity_scan,
                             pmax_probe, prop1_check, prop2_witness,
                             theorem1_check, theorem2_check, theorem3_witness,
                             tjurina_subspectrum, v_hi_filtration)
 from singspec.localalg import milnor_algebra, steenbrink_spectrum
-from singspec.polycore import Polynomial, parse_polynomial
+from singspec.polycore import (Polynomial, op_P_tilde, parse_polynomial,
+                               partial_derivative)
 
 
 def poly(text, variables=("x", "y")):
@@ -172,3 +175,38 @@ def test_scan_asymmetric_endpoint_behaviour():
 
 def test_scan_weighted_homogeneous_clean():
     assert monotonicity_scan(poly("x^5 + y^4 + x^3*y^2"), p=2) == []
+
+
+@st.composite
+def op_chain_cases(draw):
+    """A germ of order >= 2 in 2 or 3 variables, an operator sequence of
+    length <= 3, a parameter beta, a monomial x^m and a truncation N."""
+    n = draw(st.integers(2, 3))
+    expo = st.tuples(*[st.integers(0, 4)] * n).filter(
+        lambda e: 2 <= sum(e) <= 4)
+    terms = draw(st.dictionaries(expo, st.integers(-3, 3).filter(bool),
+                                 min_size=1, max_size=4))
+    seq = tuple(draw(st.lists(st.integers(1, n), min_size=1, max_size=3)))
+    beta = Fraction(draw(st.integers(-6, 12)), draw(st.integers(1, 6)))
+    m = draw(st.tuples(*[st.integers(0, 2)] * n))
+    N = draw(st.integers(3, 9))
+    return Polynomial(n, terms), seq, beta, m, N
+
+
+@given(op_chain_cases())
+@settings(max_examples=60, deadline=None)
+def test_op_chain_matches_op_P_tilde(case):
+    # truncating after every step is exact mod m^N: ord f >= 2, so each
+    # P(i, beta) raises the lowest degree of its argument by at least 1
+    f, seq, beta, m, N = case
+    fd = dict(f.terms)
+    partials = [dict(partial_derivative(f, i).terms)
+                for i in range(1, f.n + 1)]
+    cache = {}
+    for k in range(1, len(seq) + 1):  # prefixes first, as the cache is used
+        expected = op_P_tilde(f, seq[:k], beta,
+                              Polynomial.monomial(f.n, m)).truncate(N)
+        fresh = _op_chain(fd, partials, f.n, seq[:k], beta, m, N, {})
+        assert fresh == expected.terms
+        assert _op_chain(fd, partials, f.n, seq[:k], beta, m, N,
+                         cache) == expected.terms
