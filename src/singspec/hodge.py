@@ -16,13 +16,13 @@ from math import ceil, floor
 
 from .errors import ResourceCapError, UnsupportedError
 from .linalg import RowSpan
-from .localalg import (MilnorAlgebra, TruncatedSpace, _tjurina_span,
-                       filtered_quotient_dims, ideal_membership,
-                       milnor_algebra, steenbrink_spectrum, tjurina_number)
+from .localalg import (TruncatedSpace, _tjurina_span, filtered_quotient_dims,
+                       ideal_membership, milnor_algebra, steenbrink_spectrum,
+                       tjurina_number)
 from .newton import (gamma, is_nondegenerate, newton_filtration,
                      newton_polyhedron, order_of, swh_structure, weight_order)
-from .polycore import (Polynomial, Spectrum, make_weights,
-                       partial_derivative)
+from .polycore import (Polynomial, Spectrum, add_scaled, deriv_terms,
+                       make_weights, mul_terms, partial_derivative)
 
 
 def condition_a_order(f, hint=None):
@@ -39,22 +39,6 @@ def condition_a_order(f, hint=None):
     raise UnsupportedError(
         "need semi-weighted-homogeneous structure or a non-degenerate "
         "Newton boundary (verdict %s)" % verdict.status)
-
-
-def filtration_monomials(order, beta, N):
-    """Monomials of degree < N with order at least beta."""
-    space = TruncatedSpace(order.n, N)
-    return [m for m in space.monomials if order.monomial_order(m) >= beta]
-
-
-def staircase_minimal(monomials):
-    """Minimal elements of a monomial set under componentwise order."""
-    mons = sorted(monomials, key=sum)
-    minimal = []
-    for m in mons:
-        if not any(all(a <= b for a, b in zip(g, m)) for g in minimal):
-            minimal.append(m)
-    return minimal
 
 
 def _drop_bounds(order):
@@ -117,42 +101,6 @@ def _shift_vector(space, terms, mu):
     return vec
 
 
-def _dict_mul(a_terms, b_terms, N):
-    out = {}
-    for e1, c1 in a_terms.items():
-        d1 = sum(e1)
-        for e2, c2 in b_terms.items():
-            if d1 + sum(e2) >= N:
-                continue
-            e = tuple(x + y for x, y in zip(e1, e2))
-            v = out.get(e)
-            v = c1 * c2 if v is None else v + c1 * c2
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _dict_deriv(terms, i):
-    j = i - 1
-    out = {}
-    for e, c in terms.items():
-        if e[j]:
-            out[e[:j] + (e[j] - 1,) + e[j + 1:]] = c * e[j]
-    return out
-
-
-def _shifted_polynomial(n, terms, mu, N):
-    """x^mu * (term dict) as a truncated Polynomial."""
-    out = {}
-    for expo, c in terms.items():
-        e = tuple(a + b for a, b in zip(expo, mu))
-        if sum(e) < N:
-            out[e] = c
-    return Polynomial(n, out)
-
-
 def _monomials_by_order(space, order):
     return sorted(((order.monomial_order(m), m) for m in space.monomials),
                   key=lambda t: (t[0], t[1]))
@@ -171,14 +119,8 @@ def _op_chain(fd, partials, n, seq, beta0, m, N, cache):
             base = _op_chain(fd, partials, n, seq[:-1], beta0, m, N, cache)
         i = seq[-1]
         beta = beta0 + len(seq) - 1
-        G = _dict_mul(fd, _dict_deriv(base, i), N)
-        for e, c in _dict_mul(partials[i - 1], base, N).items():
-            v = G.get(e)
-            v = -beta * c if v is None else v - beta * c
-            if v:
-                G[e] = v
-            elif e in G:
-                del G[e]
+        G = add_scaled(mul_terms(fd, deriv_terms(base, i), N),
+                       mul_terms(partials[i - 1], base, N), -beta)
         cache[key] = G
     return G
 
@@ -196,9 +138,8 @@ def _pruned_generators(f, alpha, p, order, space, prune_level, by_order,
     vals = [val for val, m in by_order]
     if cache is None:
         cache = {}
-    fd = dict(f.terms)
-    partials = [dict(partial_derivative(f, i).terms)
-                for i in range(1, n + 1)]
+    fd = f.terms
+    partials = [deriv_terms(fd, i) for i in range(1, n + 1)]
     wcache = {}
     mult_cache = {}
     for k in range(1, p + 1):
@@ -226,16 +167,6 @@ def _pruned_generators(f, alpha, p, order, space, prune_level, by_order,
                     yield G, mu
 
 
-class HodgeIdealGenSet:
-    __slots__ = ("alpha", "p", "generators", "N")
-
-    def __init__(self, alpha, p, generators, N):
-        self.alpha = Fraction(alpha)
-        self.p = int(p)
-        self.generators = list(generators)
-        self.N = int(N)
-
-
 def _pspan_space(f, alpha, p, order, ma):
     """Truncated space fat enough that its top degrees lie inside the
     monomial filtration at level alpha + p."""
@@ -250,26 +181,6 @@ def _pspan_space(f, alpha, p, order, ma):
         if N > 4 * ma.N + 40:
             raise ResourceCapError("cannot reach filtration level %s "
                                    "within truncation bounds" % (alpha + p))
-
-
-def hodge_ideal_generators(f, alpha, p, ma=None, hint=None):
-    """Deterministic truncated generator list for I_p(alpha Z)."""
-    alpha = Fraction(alpha)
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    if p < 0:
-        raise ValueError("p must be non-negative")
-    if ma is None:
-        ma = milnor_algebra(f)
-    order = condition_a_order(f, hint)
-    space = _pspan_space(f, alpha, p, order, ma)
-    by_order = _monomials_by_order(space, order)
-    gens = [Polynomial.monomial(f.n, m) for val, m in by_order
-            if val >= alpha + p]
-    for G, mu in _pruned_generators(f, alpha, p, order, space,
-                                    alpha + p, by_order):
-        gens.append(_shifted_polynomial(f.n, G, mu, space.N))
-    return HodgeIdealGenSet(alpha, p, gens, space.N)
 
 
 def _ideal_pspan(f, alpha, p, order, modulo, ma):
@@ -735,7 +646,6 @@ def monotonicity_scan(f, hint=None, p=2):
     points.sort(reverse=True)
 
     # normal forms over the Milnor basis, read off the reduced rows
-    pivots = ma.span.pivot_columns()
     nf_cache = {}
 
     def nf(idx):
@@ -775,12 +685,7 @@ def monotonicity_scan(f, hint=None, p=2):
                 idx = space.index.get(shifted)
                 if idx is None or order.monomial_order(shifted) >= level:
                     continue
-                for col, v in nf(idx).items():
-                    nv = vec.get(col, Fraction(0)) + c * v
-                    if nv:
-                        vec[col] = nv
-                    elif col in vec:
-                        del vec[col]
+                add_scaled(vec, nf(idx), c)
             res = ws.reduce(vec)
             if res:
                 out.append(((G, mu), res))
@@ -799,8 +704,8 @@ def monotonicity_scan(f, hint=None, p=2):
             for (G, mu), res in sur_hi:
                 res2 = ws.reduce(res)
                 if res2 and not span_a.contains(res2):
-                    violations.append(
-                        (a, a_hi, _shifted_polynomial(f.n, G, mu, space.N)))
+                    g = Polynomial(f.n, G) * Polynomial.monomial(f.n, mu)
+                    violations.append((a, a_hi, g.truncate(space.N)))
                     break
         prev = (a, cur)
     violations.sort()

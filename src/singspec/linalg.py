@@ -1,104 +1,56 @@
 """Exact linear algebra over the rationals and integer lattice utilities.
 
-Dense routines are for small systems (facet normals, lattice bases);
-the sparse incremental row span is the workhorse for truncated local
-algebra quotients.
+The sparse incremental row span is the one elimination routine: it is
+the workhorse for truncated local algebra quotients, and the dense
+rank, nullspace and solve for small systems (facet normals, lattice
+coordinates) run on it too.  Smith normal form solves the separate
+integer problem of lattice bases.
 """
 
 from fractions import Fraction
 
 
+def _row_span(rows):
+    """RowSpan of dense rational rows; column j is entry j."""
+    span = RowSpan()
+    for row in rows:
+        span.insert({j: Fraction(x) for j, x in enumerate(row) if x})
+    return span
+
+
 def rank(rows, n):
     """Rank of a list of length-n rational vectors."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return r
+    return _row_span(rows).rank()
 
 
 def nullspace(rows, n):
-    """Basis of {v : M v = 0} for the matrix with the given rows."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+    """Basis of {v : M v = 0} for the matrix with the given rows: one
+    vector per non-pivot column fc, with 1 at fc and zero at the other
+    non-pivot columns, read off the reduced row-echelon form."""
+    reduced = _row_span(rows).rows
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
+    for fc in range(n):
+        if fc not in reduced:
+            vec = [Fraction(0)] * n
+            vec[fc] = Fraction(1)
+            for pc, row in reduced.items():
+                vec[pc] = -row.get(fc, Fraction(0))
+            basis.append(vec)
     return basis
 
 
 def solve(rows, rhs):
     """Solve M x = rhs exactly; returns None if inconsistent.
 
-    When the system is underdetermined an arbitrary solution is returned.
-    """
+    When the system is underdetermined the solution with every non-pivot
+    unknown set to zero is returned."""
     n = len(rows[0])
-    mat = [[Fraction(x) for x in row] + [Fraction(b)]
-           for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(mat)):
-        if mat[i][n] != 0:
-            return None
+    reduced = _row_span(list(row) + [b] for row, b in zip(rows, rhs)).rows
+    if n in reduced:  # a row reduced to 0 = 1
+        return None
     x = [Fraction(0)] * n
-    for i, pc in enumerate(pivots):
-        x[pc] = mat[i][n]
+    for pc, row in reduced.items():
+        x[pc] = row.get(n, Fraction(0))
     return x
 
 

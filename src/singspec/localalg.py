@@ -14,8 +14,8 @@ from itertools import combinations_with_replacement
 from .errors import (NonIsolatedError, ResourceCapError, UnsupportedError,
                      ZeroJacobianError)
 from .linalg import RowSpan
-from .newton import (FiltrationOrder, is_nondegenerate, newton_filtration,
-                     newton_polyhedron, order_of, swh_structure)
+from .newton import (is_nondegenerate, newton_filtration, newton_polyhedron,
+                     swh_structure)
 from .polycore import (Polynomial, Spectrum, make_weights, partial_derivative,
                        spectrum_product_formula)
 

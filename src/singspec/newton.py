@@ -13,8 +13,7 @@ from math import gcd
 
 from .errors import DegenerateError, ResourceCapError
 from .linalg import nullspace, rank, saturated_lattice_basis, solve
-from .polycore import Fraction as _F  # noqa: F401  (re-export convenience)
-from .polycore import Polynomial, partial_derivative
+from .polycore import Polynomial, add_scaled
 
 
 class LinearForm:
@@ -397,25 +396,6 @@ def _sub_exp(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _add_exp(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _mul_term(poly, expo, coeff):
-    return {_add_exp(e, expo): c * coeff for e, c in poly.items()}
-
-
-def _sub_poly(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, Fraction(0)) - c
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
-    return out
-
-
 def _normal_form(poly, basis):
     result = {}
     work = dict(poly)
@@ -426,9 +406,8 @@ def _normal_form(poly, basis):
             glead = g[0]
             if _divides(glead, lead):
                 gpoly = g[1]
-                factor = work[lead] / gpoly[glead]
-                work = _sub_poly(work, _mul_term(
-                    gpoly, _sub_exp(lead, glead), factor))
+                add_scaled(work, gpoly, -work[lead] / gpoly[glead],
+                           _sub_exp(lead, glead))
                 reduced = True
                 break
         if not reduced:
@@ -458,9 +437,8 @@ def _buchberger_trivial(generators, cap):
         lcm = tuple(max(a, b) for a, b in zip(li, lj))
         if all(a + b == m for a, b, m in zip(li, lj, lcm)):
             continue  # coprime leads: s-polynomial reduces to zero
-        s = _sub_poly(
-            _mul_term(pi, _sub_exp(lcm, li), 1 / pi[li]),
-            _mul_term(pj, _sub_exp(lcm, lj), 1 / pj[lj]))
+        s = add_scaled({}, pi, 1 / pi[li], _sub_exp(lcm, li))
+        add_scaled(s, pj, -1 / pj[lj], _sub_exp(lcm, lj))
         reductions += 1
         if reductions > cap:
             return "unknown"

@@ -9,10 +9,62 @@ order so that printing and hashing are deterministic.
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 
 def grlex_key(exponent):
     return (sum(exponent), exponent)
+
+
+# Term-dict arithmetic, the one polynomial arithmetic of the package: a
+# term dict maps exponent tuples to non-zero rationals.  add_scaled also
+# takes other keys, such as the columns of a sparse vector.
+
+
+def add_scaled(acc, terms, c=1, shift=None):
+    """acc += c * x^shift * terms, in place, dropping zero coefficients;
+    returns acc."""
+    scaled = c != 1
+    for e, v in terms.items():
+        if shift is not None:
+            e = tuple(map(add, e, shift))
+        if scaled:
+            v = c * v
+        w = acc.get(e)
+        if w is not None:
+            v += w
+        if v:
+            acc[e] = v
+        elif w is not None:
+            del acc[e]
+    return acc
+
+
+def mul_terms(a, b, below=None):
+    """Product of two term dicts; with `below`, only the terms of total
+    degree < below, dropped before they are formed."""
+    out = {}
+    b_items = [(e, v, sum(e)) for e, v in b.items()]
+    for e1, c1 in a.items():
+        room = None if below is None else below - sum(e1)
+        for e2, c2, d2 in b_items:
+            if room is not None and d2 >= room:
+                continue
+            e = tuple(map(add, e1, e2))
+            w = out.get(e)
+            w = c1 * c2 if w is None else w + c1 * c2
+            if w:
+                out[e] = w
+            elif e in out:
+                del out[e]
+    return out
+
+
+def deriv_terms(terms, i):
+    """Partial derivative of a term dict in the i-th variable (1-based)."""
+    j = i - 1
+    return {e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
+            for e, c in terms.items() if e[j]}
 
 
 class Polynomial:
@@ -32,6 +84,15 @@ class Polynomial:
                 clean[tuple(int(e) for e in expo)] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _wrap(cls, n, terms):
+        """Polynomial over a term dict that is already clean: integer
+        exponent tuples of length n, non-zero Fraction coefficients."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "n", n)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -82,31 +143,22 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for expo, c in other.terms.items():
-            terms[expo] = terms.get(expo, Fraction(0)) + c
-        return Polynomial(self.n, terms)
+        return Polynomial._wrap(self.n, add_scaled(dict(self.terms),
+                                                   other.terms))
 
     def __sub__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for expo, c in other.terms.items():
-            terms[expo] = terms.get(expo, Fraction(0)) - c
-        return Polynomial(self.n, terms)
+        return Polynomial._wrap(self.n, add_scaled(dict(self.terms),
+                                                   other.terms, -1))
 
     def __neg__(self):
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial._wrap(self.n, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                terms[expo] = terms.get(expo, Fraction(0)) + c1 * c2
-        return Polynomial(self.n, terms)
+        return Polynomial._wrap(self.n, mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -129,8 +181,8 @@ class Polynomial:
 
     def truncate(self, degree_bound):
         """Drop all terms of total degree >= degree_bound."""
-        return Polynomial(self.n, {e: c for e, c in self.terms.items()
-                                   if sum(e) < degree_bound})
+        return Polynomial._wrap(self.n, {e: c for e, c in self.terms.items()
+                                         if sum(e) < degree_bound})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
@@ -321,15 +373,7 @@ def partial_derivative(f, i):
     """Formal partial derivative with respect to the i-th variable (1-based)."""
     if not 1 <= i <= f.n:
         raise IndexError("variable index %d out of range" % i)
-    j = i - 1
-    terms = {}
-    for expo, c in f.terms.items():
-        if expo[j] == 0:
-            continue
-        new = list(expo)
-        new[j] -= 1
-        terms[tuple(new)] = c * expo[j]
-    return Polynomial(f.n, terms)
+    return Polynomial._wrap(f.n, deriv_terms(f.terms, i))
 
 
 def op_P(f, i, beta, g):

@@ -199,9 +199,8 @@ def test_op_chain_matches_op_P_tilde(case):
     # truncating after every step is exact mod m^N: ord f >= 2, so each
     # P(i, beta) raises the lowest degree of its argument by at least 1
     f, seq, beta, m, N = case
-    fd = dict(f.terms)
-    partials = [dict(partial_derivative(f, i).terms)
-                for i in range(1, f.n + 1)]
+    fd = f.terms
+    partials = [partial_derivative(f, i).terms for i in range(1, f.n + 1)]
     cache = {}
     for k in range(1, len(seq) + 1):  # prefixes first, as the cache is used
         expected = op_P_tilde(f, seq[:k], beta,
