@@ -12,33 +12,16 @@ which is always contained in I_p(alpha Z) for alpha + p >= s.
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil
 
-from .errors import ResourceCapError, UnsupportedError
+from .errors import ResourceCapError
 from .linalg import RowSpan
-from .localalg import (TruncatedSpace, _tjurina_span, filtered_quotient_dims,
-                       ideal_membership, milnor_algebra, steenbrink_spectrum,
-                       tjurina_number)
-from .newton import (gamma, is_nondegenerate, newton_filtration,
-                     newton_polyhedron, order_of, swh_structure, weight_order)
+from .localalg import (TruncatedSpace, _partials, _span_with,
+                       filtered_quotient_dims, ideal_membership,
+                       milnor_algebra, tjurina_number)
+from .newton import gamma, order_of
 from .polycore import (Polynomial, Spectrum, add_scaled, deriv_terms,
-                       make_weights, mul_terms, partial_derivative)
-
-
-def condition_a_order(f, hint=None):
-    """Monomial order filtration attached to f: weight kind when f is
-    semi-weighted-homogeneous for the hint, else Newton kind when the
-    Newton boundary is non-degenerate."""
-    if hint is not None:
-        w = make_weights(hint)
-        if swh_structure(f, w).is_swh:
-            return weight_order(w)
-    verdict = is_nondegenerate(f)
-    if verdict.status == "yes":
-        return newton_filtration(newton_polyhedron(f))
-    raise UnsupportedError(
-        "need semi-weighted-homogeneous structure or a non-degenerate "
-        "Newton boundary (verdict %s)" % verdict.status)
+                       mul_terms, partial_derivative)
 
 
 def _drop_bounds(order):
@@ -102,8 +85,7 @@ def _shift_vector(space, terms, mu):
 
 
 def _monomials_by_order(space, order):
-    return sorted(((order.monomial_order(m), m) for m in space.monomials),
-                  key=lambda t: (t[0], t[1]))
+    return sorted((order.monomial_order(m), m) for m in space.monomials)
 
 
 def _op_chain(fd, partials, n, seq, beta0, m, N, cache):
@@ -186,20 +168,17 @@ def _pspan_space(f, alpha, p, order, ma):
 def _ideal_pspan(f, alpha, p, order, modulo, ma):
     """Truncated row span of I_p(alpha Z), optionally plus the Jacobian
     ideal (and f).  Returns (space, span)."""
-    space = _pspan_space(f, alpha, p, order, ma)
-    span = RowSpan()
-    if modulo in ("jacobian", "jacobian_and_f"):
-        if space is ma.space:
-            base = _tjurina_span(f) if modulo == "jacobian_and_f" else ma.span
-            span = base.copy()
-        else:
-            from .localalg import _insert_multiples
-            for i in range(1, f.n + 1):
-                _insert_multiples(span, space, partial_derivative(f, i))
-            if modulo == "jacobian_and_f":
-                _insert_multiples(span, space, f)
-    elif modulo != "nothing":
+    if modulo not in ("nothing", "jacobian", "jacobian_and_f"):
         raise ValueError("unknown modulo mode %r" % modulo)
+    space = _pspan_space(f, alpha, p, order, ma)
+    if modulo == "nothing":
+        span = RowSpan()
+    elif space is ma.space:
+        span = (ma.tjurina_span if modulo == "jacobian_and_f"
+                else ma.span).copy()
+    else:
+        gens = _partials(f) + ([f] if modulo == "jacobian_and_f" else [])
+        span = _span_with(RowSpan(), space, gens)
     by_order = _monomials_by_order(space, order)
     level = alpha + p
     for val, m in by_order:
@@ -211,7 +190,7 @@ def _ideal_pspan(f, alpha, p, order, modulo, ma):
     return space, span
 
 
-def hodge_ideal_member(f, alpha, p, g, ma=None, modulo="nothing", hint=None):
+def hodge_ideal_member(f, alpha, p, g, modulo="nothing", hint=None):
     """Exact truncated membership of g in I_p(alpha Z) (plus the chosen
     ideal)."""
     alpha = Fraction(alpha)
@@ -219,30 +198,26 @@ def hodge_ideal_member(f, alpha, p, g, ma=None, modulo="nothing", hint=None):
         raise ValueError("alpha must lie in (0, 1]")
     if g.is_zero():
         return True
-    if ma is None:
-        ma = milnor_algebra(f)
-    order = condition_a_order(f, hint)
+    ma = milnor_algebra(f)
+    order = ma.order(hint)
     space, span = _ideal_pspan(f, alpha, p, order, modulo, ma)
     return span.contains(space.to_vector(g))
 
 
 class VHIFiltration:
     """Subspace dimensions of V_HI on the Milnor or Tjurina algebra at
-    the candidate jump levels (sorted ascending)."""
+    the candidate jump levels (sorted ascending); shared by every caller
+    through the germ record, so held in tuples."""
 
-    __slots__ = ("jumps", "subspace_dims", "mode")
+    __slots__ = ("jumps", "subspace_dims")
 
-    def __init__(self, jumps, subspace_dims, mode):
-        self.jumps = list(jumps)
-        self.subspace_dims = list(subspace_dims)
-        self.mode = mode
+    def __init__(self, jumps, subspace_dims):
+        self.jumps = tuple(jumps)
+        self.subspace_dims = tuple(subspace_dims)
 
     def dimension_at(self, beta):
-        best = 0
-        for b, d in zip(self.jumps, self.subspace_dims):
-            if b >= beta:
-                best = max(best, d)
-        return best
+        return max((d for b, d in zip(self.jumps, self.subspace_dims)
+                    if b >= beta), default=0)
 
     def graded_dims(self):
         out = {}
@@ -256,44 +231,53 @@ class VHIFiltration:
 
 
 def _candidate_alphas(space, order):
-    vals = set()
-    for m in space.monomials:
-        v = order.monomial_order(m)
-        r = v - floor(v)
-        if r == 0:
-            r = Fraction(1)
-        vals.add(Fraction(r))
-    vals.add(Fraction(1))
-    return sorted(vals)
+    """1 and the fractional parts, taken in (0, 1], of the orders."""
+    return sorted({1 - (-order.monomial_order(m)) % 1
+                   for m in space.monomials} | {Fraction(1)})
 
 
 def v_hi_filtration(f, mode="mod_jacobian", hint=None, p_max=None):
     """Dimensions of V_HI^beta = sum of I_p(alpha Z) over alpha + p >=
     beta, modulo the Jacobian ideal (mode mod_jacobian) or the Tjurina
-    ideal (mode mod_jacobian_and_f), at every candidate jump."""
+    ideal (mode mod_jacobian_and_f), at every candidate jump.  Both modes
+    come from one pass, kept on the Milnor algebra of f."""
     if mode not in ("mod_jacobian", "mod_jacobian_and_f"):
         raise ValueError("unknown mode %r" % mode)
     ma = milnor_algebra(f)
-    order = condition_a_order(f, hint)
+    order = ma.order(hint)
     if p_max is None:
         p_max = f.n + 1
+    return ma.memo(("v_hi", order, p_max), _v_hi_pass, ma, order,
+                   p_max)[mode]
+
+
+def _v_hi_pass(ma, order, p_max):
+    """Both V_HI filtrations, by mode.  The generators of each stage do
+    not depend on the mode, so each is enumerated once and inserted into
+    both spans; a mode stops at the stage where it fills its quotient,
+    and the Tjurina mode, whose span contains the other, never stops
+    later.  The operator-chain cache ends with the pass."""
+    f = ma.f
     space = ma.space
-    base = _tjurina_span(f) if mode == "mod_jacobian_and_f" else ma.span
-    span = base.copy()
-    base_rank = base.rank()
-    target = space.dimension - base_rank
+    states = [(mode, base.copy(), base.rank(), [], [])
+              for mode, base in (("mod_jacobian", ma.span),
+                                 ("mod_jacobian_and_f", ma.tjurina_span))]
+    growing = list(states)
     by_order = _monomials_by_order(space, order)
     desc = list(reversed(by_order))
     alphas = _candidate_alphas(space, order)
     stages = sorted({a + p for a in alphas for p in range(p_max + 1)},
                     reverse=True)
     frontier = 0
-    jumps = []
-    dims = []
     cache = {}
+
+    def insert(vec):
+        for _, span, _, _, _ in growing:
+            span.insert(vec)
+
     for s in stages:
         while frontier < len(desc) and desc[frontier][0] >= s:
-            span.insert({space.index[desc[frontier][1]]: Fraction(1)})
+            insert({space.index[desc[frontier][1]]: Fraction(1)})
             frontier += 1
         for p in range(p_max + 1):
             a = s - p
@@ -301,15 +285,18 @@ def v_hi_filtration(f, mode="mod_jacobian", hint=None, p_max=None):
                 continue
             for G, mu in _pruned_generators(f, a, p, order, space, s,
                                             by_order, cache):
-                span.insert(_shift_vector(space, G, mu))
-        d = span.rank() - base_rank
-        jumps.append(s)
-        dims.append(d)
-        if d == target:
+                insert(_shift_vector(space, G, mu))
+        for state in list(growing):
+            _, span, base_rank, jumps, dims = state
+            d = span.rank() - base_rank
+            jumps.append(s)
+            dims.append(d)
+            if d == space.dimension - base_rank:
+                growing.remove(state)
+        if not growing:
             break
-    jumps.reverse()
-    dims.reverse()
-    return VHIFiltration(jumps, dims, mode)
+    return {mode: VHIFiltration(jumps[::-1], dims[::-1])
+            for mode, _, _, jumps, dims in states}
 
 
 def pmax_probe(f, mode="mod_jacobian", hint=None, p_max=None):
@@ -325,25 +312,21 @@ def pmax_probe(f, mode="mod_jacobian", hint=None, p_max=None):
 
 def hodge_ideal_spectrum(f, hint=None, p_max=None):
     """Exponent multiset of the V_HI filtration on the Milnor algebra."""
-    ma = milnor_algebra(f)
-    vhi = v_hi_filtration(f, "mod_jacobian", hint, p_max)
-    entries = vhi.graded_dims()
-    sp = Spectrum(f.n, entries)
-    if sp.total() != ma.mu:
-        raise AssertionError("Hodge ideal spectrum totals %d, expected "
-                             "mu = %d" % (sp.total(), ma.mu))
-    return sp
+    return _v_hi_spectrum(f, "mod_jacobian", hint, p_max,
+                          "mu", milnor_algebra(f).mu)
 
 
 def tjurina_subspectrum(f, hint=None, p_max=None):
     """Exponent multiset of V_HI on the Tjurina algebra."""
-    tau = tjurina_number(f)
-    vhi = v_hi_filtration(f, "mod_jacobian_and_f", hint, p_max)
-    entries = vhi.graded_dims()
-    sp = Spectrum(f.n, entries)
-    if sp.total() != tau:
-        raise AssertionError("Tjurina subspectrum totals %d, expected "
-                             "tau = %d" % (sp.total(), tau))
+    return _v_hi_spectrum(f, "mod_jacobian_and_f", hint, p_max,
+                          "tau", tjurina_number(f))
+
+
+def _v_hi_spectrum(f, mode, hint, p_max, name, total):
+    sp = Spectrum(f.n, v_hi_filtration(f, mode, hint, p_max).graded_dims())
+    if sp.total() != total:
+        raise AssertionError("V_HI spectrum %s totals %d, expected %s = %d"
+                             % (mode, sp.total(), name, total))
     return sp
 
 
@@ -368,8 +351,13 @@ def epsilon_f(f, hint=None):
     gamma_f is taken from the quotient-filtration definition; for f in
     m^3 the order-based definition is computed too and compared."""
     ma = milnor_algebra(f)
-    order = condition_a_order(f, hint)
-    sp = steenbrink_spectrum(f, hint)
+    order = ma.order(hint)
+    return ma.memo(("epsilon", order), _epsilon, ma, order,
+                   ma.spectrum(hint))
+
+
+def _epsilon(ma, order, sp):
+    f = ma.f
     span2 = ma.span.copy()
     for m in ma.space.monomials:
         if sum(m) >= 2:
@@ -392,19 +380,23 @@ def epsilon_f(f, hint=None):
     return gamma_quot, eps
 
 
+def _not_applicable(report, reason):
+    report.update(applicable=False, reason=reason)
+    return report
+
+
 def theorem1_check(f, hint=None):
     """Checks the spectral-shift statement for singularities whose
     f-multiples span exactly the top graded piece and tau = mu - 1."""
     ma = milnor_algebra(f)
     report = {"mu": ma.mu}
     if f.order() < 3:
-        report["applicable"] = False
-        report["reason"] = "f is not in the cube of the maximal ideal"
-        return report
-    tau = tjurina_number(f)
+        return _not_applicable(
+            report, "f is not in the cube of the maximal ideal")
+    tau = ma.tau
     report["tau"] = tau
-    order = condition_a_order(f, hint)
-    sp = steenbrink_spectrum(f, hint)
+    order = ma.order(hint)
+    sp = ma.spectrum(hint)
     alpha_max = sp.max_exponent()
     report["alpha_max"] = alpha_max
     span_v = ma.span.copy()
@@ -418,10 +410,9 @@ def theorem1_check(f, hint=None):
     hyp = (tau == ma.mu - 1 and top_dim == 1 and f_in_top and f_nonzero)
     report["hypothesis_f_spans_top"] = hyp
     if not hyp:
-        report["applicable"] = False
-        report["reason"] = "hypothesis fails (tau=%d, mu=%d, top dim=%d, " \
-            "f in top: %s)" % (tau, ma.mu, top_dim, f_in_top)
-        return report
+        return _not_applicable(
+            report, "hypothesis fails (tau=%d, mu=%d, top dim=%d, f in top: "
+            "%s)" % (tau, ma.mu, top_dim, f_in_top))
     report["applicable"] = True
     gamma_f, eps = epsilon_f(f, hint)
     report["gamma_f"] = gamma_f
@@ -441,24 +432,19 @@ def theorem2_check(f, hint=None):
     """All extra Hodge-ideal exponents (beyond the Tjurina subspectrum)
     must exceed the maximal spectral exponent."""
     ma = milnor_algebra(f)
-    tau = tjurina_number(f)
+    tau = ma.tau
     report = {"mu": ma.mu, "tau": tau}
     if f.order() < 3:
-        report["applicable"] = False
-        report["reason"] = "f is not in the cube of the maximal ideal"
-        return report
+        return _not_applicable(
+            report, "f is not in the cube of the maximal ideal")
     if ma.mu == tau:
-        report["applicable"] = False
-        report["reason"] = "mu equals tau"
-        return report
+        return _not_applicable(report, "mu equals tau")
     gamma_f, eps = epsilon_f(f, hint)
     report["epsilon_f"] = eps
     if eps <= 0:
-        report["applicable"] = False
-        report["reason"] = "epsilon_f is not positive"
-        return report
+        return _not_applicable(report, "epsilon_f is not positive")
     report["applicable"] = True
-    sp = steenbrink_spectrum(f, hint)
+    sp = ma.spectrum(hint)
     hi = hodge_ideal_spectrum(f, hint)
     tj = tjurina_subspectrum(f, hint)
     extra = _spectrum_difference(hi, tj)
@@ -475,8 +461,8 @@ def theorem3_witness(f, hint=None, degree_cap=None):
     exhaustive: deg g >= N - 2 - ord f puts f*g in m^{N-2}, inside the
     Jacobian ideal."""
     ma = milnor_algebra(f)
-    order = condition_a_order(f, hint)
-    sp = steenbrink_spectrum(f, hint)
+    order = ma.order(hint)
+    sp = ma.spectrum(hint)
     alpha_max = sp.max_exponent()
     if degree_cap is None:
         degree_cap = max(ma.N - 3 - f.order(), 0)
@@ -488,13 +474,15 @@ def theorem3_witness(f, hint=None, degree_cap=None):
         if gamma_g + 1 <= alpha_max:
             continue
         if not ideal_membership(f, f * g, False):
-            hi = hodge_ideal_spectrum(f, hint)
-            if not hi.max_exponent() > alpha_max:
-                raise AssertionError(
-                    "witness found but the Hodge-ideal spectrum does not "
-                    "exceed the spectral maximum")
+            _check_hi_exceeds(f, hint, alpha_max)
             return g, degree_cap
     return None, degree_cap
+
+
+def _check_hi_exceeds(f, hint, alpha_max):
+    if not hodge_ideal_spectrum(f, hint).max_exponent() > alpha_max:
+        raise AssertionError("witness found but the Hodge-ideal spectrum "
+                             "maximum does not exceed the spectral maximum")
 
 
 def prop1_check(f, hint=None):
@@ -502,33 +490,21 @@ def prop1_check(f, hint=None):
     level alpha_1 + 2, via the operator membership chain."""
     report = {}
     if f.is_zero() or f.order() != 2:
-        report["applicable"] = False
-        report["reason"] = "f is not a double point"
-        return report
+        return _not_applicable(report, "f is not a double point")
     ma = milnor_algebra(f)
-    tau = tjurina_number(f)
+    tau = ma.tau
     report["mu"] = ma.mu
     report["tau"] = tau
     if ma.mu == tau:
-        report["applicable"] = False
-        report["reason"] = "mu equals tau"
-        return report
-    pair = None
-    for i in range(1, f.n + 1):
-        for j in range(1, f.n + 1):
-            second = partial_derivative(partial_derivative(f, i), j)
-            if second.coefficient((0,) * f.n) != 0:
-                pair = (i, j)
-                break
-        if pair:
-            break
+        return _not_applicable(report, "mu equals tau")
+    pair = next(((i, j) for i in range(1, f.n + 1) for j in range(1, f.n + 1)
+                 if partial_derivative(partial_derivative(f, i), j)
+                 .coefficient((0,) * f.n)), None)
     report["invertible_second_derivative"] = pair
     if pair is None:
-        report["applicable"] = False
-        report["reason"] = "no invertible second derivative"
-        return report
+        return _not_applicable(report, "no invertible second derivative")
     report["applicable"] = True
-    sp = steenbrink_spectrum(f, hint)
+    sp = ma.spectrum(hint)
     alpha1 = sp.min_exponent()
     report["alpha_1"] = alpha1
     p = int(ceil(alpha1)) - 1
@@ -537,14 +513,12 @@ def prop1_check(f, hint=None):
     fj = partial_derivative(f, j)
     chain = {
         "one_in_I_p": hodge_ideal_member(
-            f, a, p, Polynomial.constant(f.n, 1), ma, "nothing", hint),
-        "fj_in_I_p1": hodge_ideal_member(f, a, p + 1, fj, ma, "nothing",
-                                         hint),
+            f, a, p, Polynomial.constant(f.n, 1), "nothing", hint),
+        "fj_in_I_p1": hodge_ideal_member(f, a, p + 1, fj, "nothing", hint),
         "f_dfj_in_I_p2_mod_jac": hodge_ideal_member(
-            f, a, p + 2, f * partial_derivative(fj, i), ma, "jacobian",
-            hint),
-        "f_in_I_p2_mod_jac": hodge_ideal_member(f, a, p + 2, f, ma,
-                                                "jacobian", hint),
+            f, a, p + 2, f * partial_derivative(fj, i), "jacobian", hint),
+        "f_in_I_p2_mod_jac": hodge_ideal_member(f, a, p + 2, f, "jacobian",
+                                                hint),
     }
     report.update(chain)
     report["holds"] = all(chain.values())
@@ -564,8 +538,8 @@ def prop2_witness(f, hint=None, degree_cap=None):
     if set(xn_terms) != {square}:
         return None, "shape not matched: need x_n appearing only as x_n^2"
     ma = milnor_algebra(f)
-    order = condition_a_order(f, hint)
-    sp = steenbrink_spectrum(f, hint)
+    order = ma.order(hint)
+    sp = ma.spectrum(hint)
     alpha_max = sp.max_exponent()
     if degree_cap is None:
         degree_cap = max(ma.N - 3 - f.order(), 0)
@@ -582,16 +556,11 @@ def prop2_witness(f, hint=None, degree_cap=None):
         a = vg - p
         two_xn = Polynomial.monomial(n, (0,) * (n - 1) + (1,), 2)
         chain_ok = (
-            hodge_ideal_member(f, a, p, g, ma, "nothing", hint)
-            and hodge_ideal_member(f, a, p + 1, g * two_xn, ma, "nothing",
-                                   hint)
-            and hodge_ideal_member(f, a, p + 2, f * g * Fraction(2), ma,
+            hodge_ideal_member(f, a, p, g, "nothing", hint)
+            and hodge_ideal_member(f, a, p + 1, g * two_xn, "nothing", hint)
+            and hodge_ideal_member(f, a, p + 2, f * g * Fraction(2),
                                    "jacobian", hint))
-        hi = hodge_ideal_spectrum(f, hint)
-        if not hi.max_exponent() > alpha_max:
-            raise AssertionError("witness found but the Hodge-ideal "
-                                 "spectrum maximum does not exceed the "
-                                 "spectral maximum")
+        _check_hi_exceeds(f, hint, alpha_max)
         if not chain_ok:
             raise AssertionError("witness found but the membership chain "
                                  "failed")
@@ -617,7 +586,7 @@ def monotonicity_scan(f, hint=None, p=2):
     taken on (254/495, 173/330] lose rank only at alpha = 0 and
     alpha = 1/1485."""
     ma = milnor_algebra(f)
-    order = condition_a_order(f, hint)
+    order = ma.order(hint)
     space = ma.space
     fd = filtered_quotient_dims(f, order, False)
     cum = []
@@ -627,13 +596,7 @@ def monotonicity_scan(f, hint=None, p=2):
         cum.append((b, running))
 
     def v_dim(beta):
-        best = 0
-        for b, d in cum:
-            if b >= beta:
-                best = d
-            else:
-                break
-        return best
+        return max((d for b, d in cum if b >= beta), default=0)
 
     by_order = _monomials_by_order(space, order)
     jump_vals = sorted({val for val, m in by_order if 0 < val <= 1}

@@ -1,6 +1,8 @@
 """Truncated local-algebra engine: Milnor and Tjurina algebras by exact
 linear algebra modulo a power of the maximal ideal, filtered quotient
-dimensions, and Steenbrink spectrum extraction.
+dimensions, the choice of filtration order, and Steenbrink spectrum
+extraction.  The cached MilnorAlgebra of f is the one record of the
+germ: every invariant of f is computed once and kept on it.
 
 The truncation degree N is grown until the truncated Jacobian span
 contains m^{N-2}; by Nakayama this certifies m^{N-2} inside the Jacobian
@@ -14,8 +16,8 @@ from itertools import combinations_with_replacement
 from .errors import (NonIsolatedError, ResourceCapError, UnsupportedError,
                      ZeroJacobianError)
 from .linalg import RowSpan
-from .newton import (is_nondegenerate, newton_filtration, newton_polyhedron,
-                     swh_structure)
+from .newton import (is_nondegenerate, newton_filtration, swh_structure,
+                     weight_order)
 from .polycore import (Polynomial, Spectrum, make_weights, partial_derivative,
                        spectrum_product_formula)
 
@@ -31,7 +33,6 @@ def set_truncation_start(N):
     prev = _N_START
     _N_START = None if N is None else int(N)
     milnor_algebra.cache_clear()
-    _tjurina_span.cache_clear()
     return prev
 
 
@@ -96,13 +97,22 @@ def _insert_multiples(span, space, g, low=0):
         span.insert(prod)
 
 
+def _span_with(span, space, gens):
+    """Copy of span with the truncated multiples of gens inserted."""
+    span = span.copy()
+    for g in gens:
+        _insert_multiples(span, space, g)
+    return span
+
+
+def _partials(f):
+    return [partial_derivative(f, i) for i in range(1, f.n + 1)]
+
+
 def jacobian_span(f, N):
     """Row-reduced span of the truncated multiples of the partials of f."""
     space = TruncatedSpace(f.n, N)
-    span = RowSpan()
-    for i in range(1, f.n + 1):
-        _insert_multiples(span, space, partial_derivative(f, i))
-    return space, span
+    return space, _span_with(RowSpan(), space, _partials(f))
 
 
 def _contains_power(space, span, k):
@@ -118,7 +128,13 @@ def _contains_power(space, span, k):
 
 
 class MilnorAlgebra:
-    __slots__ = ("f", "N", "space", "span", "mu", "basis_monomials")
+    """Milnor algebra of f, and the record of everything else computed
+    for f: Tjurina span, non-degeneracy verdict, and per weight hint the
+    order, the spectrum and (from hodge) both V_HI filtrations, each
+    computed on first use and kept while milnor_algebra keeps this."""
+
+    __slots__ = ("f", "N", "space", "span", "mu", "basis_monomials",
+                 "_memo")
 
     def __init__(self, f, N, space, span):
         mu = space.dimension - span.rank()
@@ -131,6 +147,7 @@ class MilnorAlgebra:
         object.__setattr__(self, "span", span)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "basis_monomials", basis)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("MilnorAlgebra is immutable")
@@ -139,6 +156,68 @@ class MilnorAlgebra:
         """Coordinates of g over basis_monomials, mod the Jacobian ideal."""
         nf = self.span.reduce(self.space.to_vector(g))
         return {self.space.monomials[i]: c for i, c in nf.items()}
+
+    def memo(self, key, compute, *args):
+        """compute(*args) on the first use of key, the kept value after."""
+        if key not in self._memo:
+            self._memo[key] = compute(*args)
+        return self._memo[key]
+
+    @property
+    def tjurina_span(self):
+        """Row span of the Jacobian ideal plus (f); read-only."""
+        return self.memo("tjurina_span", _span_with, self.span, self.space,
+                         [self.f])
+
+    @property
+    def tau(self):
+        return self.space.dimension - self.tjurina_span.rank()
+
+    @property
+    def verdict(self):
+        """Non-degeneracy verdict, with the polyhedron it was made on."""
+        return self.memo("verdict", is_nondegenerate, self.f)
+
+    def order(self, hint=None):
+        """Monomial order filtration attached to f: weight kind when f is
+        semi-weighted-homogeneous for the hint weights, else Newton kind
+        when the Newton boundary is non-degenerate."""
+        w = None if hint is None else make_weights(hint)
+        return self.memo(("order", w), self._route, w)
+
+    def _route(self, w):
+        """The one weight-or-Newton decision.  Every hint that falls back
+        to the Newton route shares one order; a reduction cap hit while
+        deciding non-degeneracy raises ResourceCapError."""
+        if w is not None:
+            if swh_structure(self.f, w).is_swh:
+                return weight_order(w)
+            return self.order()
+        if self.verdict.status == "yes":
+            return newton_filtration(self.verdict.polyhedron)
+        error = ResourceCapError if self.verdict.status == "unknown" \
+            else UnsupportedError
+        raise error("need semi-weighted-homogeneous structure or a "
+                    "non-degenerate Newton boundary (verdict %s)"
+                    % self.verdict.status)
+
+    def spectrum(self, hint=None):
+        """Steenbrink spectrum along order(hint); on the weight route the
+        Newton route is computed too when it applies, and they must
+        agree."""
+        order = self.order(hint)
+        return self.memo(("spectrum", order), self._spectrum, order)
+
+    def _spectrum(self, order):
+        if order.kind == "newton":
+            dims = filtered_quotient_dims(self.f, order, False)
+            return dims.to_spectrum(self.f.n)
+        sp = spectrum_product_formula(order.weights)
+        if self.verdict.status == "yes" and self.spectrum() != sp:
+            raise AssertionError(
+                "spectrum routes disagree: weights gave %s, newton gave %s"
+                % (sp.sorted_items(), self.spectrum().sorted_items()))
+        return sp
 
 
 def _validate_input(f):
@@ -177,26 +256,15 @@ def milnor_algebra(f):
                            "truncation degree %d" % N_MAX)
 
 
-@lru_cache(maxsize=64)
-def _tjurina_span(f):
-    ma = milnor_algebra(f)
-    span = ma.span.copy()
-    _insert_multiples(span, ma.space, f)
-    return span
-
-
 def tjurina_number(f):
-    ma = milnor_algebra(f)
-    return ma.space.dimension - _tjurina_span(f).rank()
+    return milnor_algebra(f).tau
 
 
 def quotient_dim_with(f, extra):
     """Codimension of (partials of f) + (f) + (extra generators)."""
     ma = milnor_algebra(f)
-    span = _tjurina_span(f).copy()
-    for g in extra:
-        _insert_multiples(span, ma.space, g)
-    return ma.space.dimension - span.rank()
+    return ma.space.dimension - _span_with(ma.tjurina_span, ma.space,
+                                           extra).rank()
 
 
 def ideal_membership(f, g, include_f):
@@ -205,7 +273,7 @@ def ideal_membership(f, g, include_f):
     if g.is_zero():
         return True
     # to_vector drops only degrees >= N, which lie in m^N inside J
-    span = _tjurina_span(f) if include_f else ma.span
+    span = ma.tjurina_span if include_f else ma.span
     return span.contains(ma.space.to_vector(g))
 
 
@@ -232,8 +300,7 @@ def filtered_quotient_dims(f, order, include_f):
     (or Tjurina) algebra: insert monomial classes in descending order
     and count rank jumps."""
     ma = milnor_algebra(f)
-    base = _tjurina_span(f) if include_f else ma.span
-    span = base.copy()
+    span = (ma.tjurina_span if include_f else ma.span).copy()
     pivots = span.pivot_columns()
     groups = {}
     for idx, m in enumerate(ma.space.monomials):
@@ -251,33 +318,16 @@ def filtered_quotient_dims(f, order, include_f):
     return FilteredDims(jumps)
 
 
+def condition_a_order(f, hint=None):
+    """Monomial order filtration attached to f (MilnorAlgebra.order)."""
+    return milnor_algebra(f).order(hint)
+
+
 def steenbrink_spectrum(f, hint=None):
     """Spectrum of an isolated singularity that is semi-weighted-
     homogeneous (with hint weights) or has non-degenerate Newton
     boundary; both routes are compared when both apply."""
-    _validate_input(f)
-    results = {}
-    if hint is not None:
-        w = make_weights(hint)
-        st = swh_structure(f, w)
-        if st.is_swh:
-            results["weights"] = spectrum_product_formula(w)
-    verdict = is_nondegenerate(f)
-    if verdict.status == "yes":
-        milnor_algebra(f)  # isolation check
-        NP = newton_polyhedron(f)
-        dims = filtered_quotient_dims(f, newton_filtration(NP), False)
-        results["newton"] = dims.to_spectrum(f.n)
-    if not results:
-        raise UnsupportedError(
-            "spectrum needs semi-weighted-homogeneous structure or a "
-            "non-degenerate Newton boundary (verdict %s)" % verdict.status)
-    if len(results) == 2 and results["weights"] != results["newton"]:
-        raise AssertionError(
-            "spectrum routes disagree: weights gave %s, newton gave %s"
-            % (results["weights"].sorted_items(),
-               results["newton"].sorted_items()))
-    return next(iter(results.values()))
+    return milnor_algebra(f).spectrum(hint)
 
 
 def determinacy_bound(f):
@@ -285,8 +335,8 @@ def determinacy_bound(f):
     ma = milnor_algebra(f)
     space = ma.space
     span = RowSpan()
-    for i in range(1, f.n + 1):
-        _insert_multiples(span, space, partial_derivative(f, i), 2)
+    for g in _partials(f):
+        _insert_multiples(span, space, g, 2)
     # Nakayama needs m^N inside m * m^{k+1}, i.e. k + 1 <= N - 1; beyond
     # that the check is vacuous and mu + 1 is the proven bound
     for k in range(1, space.N - 1):

@@ -177,11 +177,15 @@ def _candidate_facets(points, n):
     return sorted(found.values(), key=lambda f: (f.coeffs, f.constant))
 
 
+def _missing_axes(supp, n):
+    """Coordinate axes that the support does not meet."""
+    return [i for i in range(n)
+            if not any(all(p[j] == 0 for j in range(n) if j != i)
+                       for p in supp)]
+
+
 def is_convenient(supp, n):
-    for i in range(n):
-        if not any(all(p[j] == 0 for j in range(n) if j != i) for p in supp):
-            return False
-    return True
+    return not _missing_axes(supp, n)
 
 
 def newton_polyhedron(f):
@@ -265,12 +269,9 @@ def compact_faces(NP):
             if key not in seen:
                 seen.add(key)
                 queue.append(key)
-    results = []
     for points, free in seen:
         if (points, free) == whole and len(NP.facets) > 0:
-            # the whole polyhedron is not a proper face
-            if free == frozenset(range(n)) and points == frozenset(supp):
-                continue
+            continue  # the whole polyhedron is not a proper face
         dim = _face_dimension(points, free, n)
         tight = frozenset(
             i for i, fc in enumerate(NP.facets)
@@ -454,10 +455,14 @@ def _buchberger_trivial(generators, cap):
 
 
 class NondegeneracyVerdict:
-    __slots__ = ("status", "face", "reason")
+    """status 'yes', 'no' or 'unknown' (reduction cap hit), the face that
+    decided it, and the Newton polyhedron the decision was made on."""
 
-    def __init__(self, status, face=None, reason=None):
+    __slots__ = ("status", "face", "reason", "polyhedron")
+
+    def __init__(self, status, polyhedron, face=None, reason=None):
         self.status = status
+        self.polyhedron = polyhedron
         self.face = face
         self.reason = reason
 
@@ -513,7 +518,7 @@ def is_nondegenerate(f, reduction_cap=100000):
             continue
         systems, d = _face_torus_system(f, face)
         if not systems:
-            return NondegeneracyVerdict("no", face=face)
+            return NondegeneracyVerdict("no", NP, face=face)
         # saturate by the torus: add t * y_1 ... y_d - 1
         lifted = [{e + (0,): c for e, c in poly.items()} for poly in systems]
         sat = {tuple([1] * d + [1]): Fraction(1),
@@ -521,11 +526,11 @@ def is_nondegenerate(f, reduction_cap=100000):
         lifted.append(sat)
         verdict = _buchberger_trivial(lifted, reduction_cap)
         if verdict == "nontrivial":
-            return NondegeneracyVerdict("no", face=face)
+            return NondegeneracyVerdict("no", NP, face=face)
         if verdict == "unknown":
-            return NondegeneracyVerdict("unknown", face=face,
+            return NondegeneracyVerdict("unknown", NP, face=face,
                                         reason="reduction cap exceeded")
-    return NondegeneracyVerdict("yes")
+    return NondegeneracyVerdict("yes", NP)
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +574,7 @@ def convenientize(f, m):
     n = f.n
     current = f
     used = []
-    missing = [i for i in range(n)
-               if not any(all(p[j] == 0 for j in range(n) if j != i)
-                          for p in current.support())]
+    missing = _missing_axes(current.support(), n)
     if not missing:
         return (), (lambda c: f)
     chosen = {}

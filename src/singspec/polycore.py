@@ -98,10 +98,6 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def zero(cls, n):
-        return cls(n, {})
-
-    @classmethod
     def constant(cls, n, c):
         return cls(n, {(0,) * n: Fraction(c)})
 
@@ -417,12 +413,6 @@ class Spectrum:
     def sorted_items(self):
         return sorted(self.entries.items())
 
-    def exponents(self):
-        out = []
-        for alpha, mult in self.sorted_items():
-            out.extend([alpha] * mult)
-        return out
-
     def min_exponent(self):
         return min(self.entries)
 
@@ -465,14 +455,7 @@ def make_weights(weights):
 
 
 def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return out
+    return _series_mul(a, b, len(a) + len(b) - 1)
 
 
 def _poly_divmod(num, den):

@@ -11,13 +11,13 @@ import pytest
 
 from singspec.cli import main as cli_main
 from singspec.errors import UnsupportedError
-from singspec.hodge import (condition_a_order, epsilon_f,
-                            hodge_ideal_spectrum, monotonicity_scan,
-                            theorem1_check, tjurina_subspectrum)
+from singspec.hodge import (epsilon_f, hodge_ideal_spectrum,
+                            monotonicity_scan, theorem1_check,
+                            tjurina_subspectrum)
 from singspec.linalg import RowSpan
-from singspec.localalg import (filtered_quotient_dims, milnor_algebra,
-                               quotient_dim_with, steenbrink_spectrum,
-                               tjurina_number)
+from singspec.localalg import (condition_a_order, filtered_quotient_dims,
+                               milnor_algebra, quotient_dim_with,
+                               steenbrink_spectrum, tjurina_number)
 from singspec.newton import (convenientize, is_convenient, is_nondegenerate,
                              newton_filtration, newton_polyhedron, order_of,
                              polytope_linear_forms, strictly_positive_forms,

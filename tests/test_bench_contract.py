@@ -37,3 +37,16 @@ def test_closed_loop_hooks():
         assert info.hits >= 0 and info.misses >= 0
     finally:
         localalg.set_truncation_start(prev)
+
+
+def test_closed_loop_empties_the_germ_records():
+    # closed_loop relies on this reset: every run starts from nothing
+    f = singspec.parse_polynomial("x^5 + y^4", ["x", "y"])
+    before = localalg.milnor_algebra(f)
+    localalg.steenbrink_spectrum(f)
+    prev = localalg.set_truncation_start(None)
+    try:
+        assert localalg.milnor_algebra.cache_info().currsize == 0
+        assert localalg.milnor_algebra(f) is not before
+    finally:
+        localalg.set_truncation_start(prev)
