@@ -17,6 +17,8 @@ from .localalg import (milnor_algebra, set_truncation_start,
 from .newton import convenientize, is_nondegenerate, newton_polyhedron
 from .polycore import Polynomial, parse_polynomial
 
+STATEMENTS = ("thm1", "thm2", "thm3", "prop1", "prop2")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -36,9 +38,7 @@ def _build_parser():
     for verb in verbs:
         sp = sub.add_parser(verb, add_help=True)
         if verb == "check":
-            sp.add_argument("statement",
-                            choices=["thm1", "thm2", "thm3", "prop1",
-                                     "prop2"])
+            sp.add_argument("statement", choices=STATEMENTS)
         sp.add_argument("polynomial", nargs="?", default=None)
         sp.add_argument("--file", default=None,
                         help="read the polynomial from this file")
@@ -137,6 +137,20 @@ def _report_lines(title, report, variables):
     return lines
 
 
+def _statement(stmt, f, hint):
+    """The report of one statement, as check and report print it; a
+    witness search becomes {witness, degree_cap or note, found}."""
+    searches = {"thm3": (theorem3_witness, "degree_cap"),
+                "prop2": (prop2_witness, "note")}
+    if stmt in searches:
+        search, key = searches[stmt]
+        witness, info = search(f, hint)
+        return {"witness": witness, key: info, "found": witness is not None}
+    checks = {"thm1": theorem1_check, "thm2": theorem2_check,
+              "prop1": prop1_check}
+    return checks[stmt](f, hint)
+
+
 def emit_report(f, hint, variables, text, args):
     report = {
         "input": text,
@@ -148,23 +162,14 @@ def emit_report(f, hint, variables, text, args):
     hi = hodge_ideal_spectrum(f, hint, args.max_p)
     tj = tjurina_subspectrum(f, hint, args.max_p)
     gamma_f, eps = epsilon_f(f, hint)
-    witness3, cap3 = theorem3_witness(f, hint)
-    witness_p2, note_p2 = prop2_witness(f, hint)
     report.update({
         "spectrum": sp,
         "hi_spectrum": hi,
         "tj_spectrum": tj,
         "gamma_f": gamma_f,
         "epsilon_f": eps,
-        "checks": {
-            "thm1": theorem1_check(f, hint),
-            "thm2": theorem2_check(f, hint),
-            "thm3": {"witness": witness3, "degree_cap": cap3,
-                     "found": witness3 is not None},
-            "prop1": prop1_check(f, hint),
-            "prop2": {"witness": witness_p2, "note": note_p2,
-                      "found": witness_p2 is not None},
-        },
+        "checks": {stmt: _statement(stmt, f, hint)
+                   for stmt in STATEMENTS},
         "caps": {"trunc": milnor_algebra(f).N,
                  "max_p": args.max_p if args.max_p is not None
                  else f.n + 1,
@@ -238,20 +243,7 @@ def _dispatch(args):
         payload = {"gamma_f": _rat(gamma_f), "epsilon_f": _rat(eps)}
     elif verb == "check":
         stmt = args.statement
-        if stmt == "thm1":
-            report = theorem1_check(f, hint)
-        elif stmt == "thm2":
-            report = theorem2_check(f, hint)
-        elif stmt == "thm3":
-            witness, cap = theorem3_witness(f, hint)
-            report = {"witness": witness, "degree_cap": cap,
-                      "found": witness is not None}
-        elif stmt == "prop1":
-            report = prop1_check(f, hint)
-        else:
-            witness, note = prop2_witness(f, hint)
-            report = {"witness": witness, "note": note,
-                      "found": witness is not None}
+        report = _statement(stmt, f, hint)
         lines = _report_lines(stmt, report, variables)
         payload = {stmt: _jsonable(report, variables)}
     elif verb == "scan-monotonicity":

@@ -16,32 +16,16 @@ from math import ceil
 
 from .errors import ResourceCapError
 from .linalg import RowSpan
-from .localalg import (TruncatedSpace, _partials, _span_with,
-                       filtered_quotient_dims, ideal_membership,
-                       milnor_algebra, tjurina_number)
+from .localalg import (TruncatedSpace, filtered_quotient_dims,
+                       ideal_membership, milnor_algebra, tjurina_number)
 from .newton import gamma, order_of
 from .polycore import (Polynomial, Spectrum, add_scaled, deriv_terms,
                        mul_terms, partial_derivative)
 
 
-def _drop_bounds(order):
-    """d_i: maximal decrease of the order under d/dx_i."""
-    if order.kind == "weight":
-        return list(order.weights)
-    scaling = order.polyhedron.scaling_facets()
-    return [max(fc.coeffs[i] for fc in scaling) for i in range(order.n)]
-
-
-def _wdeg(order, mu):
-    """Degree part of the order: order(x^mu * g) >= wdeg(mu) + order(g)."""
-    if order.kind == "weight":
-        return sum(w * e for w, e in zip(order.weights, mu))
-    scaling = order.polyhedron.scaling_facets()
-    return min(sum(c * e for c, e in zip(fc.coeffs, mu)) for fc in scaling)
-
-
 def _multiples_below(order, bound, n, max_deg, wcache=None):
-    """All exponent vectors mu (including 0) with wdeg(mu) < bound."""
+    """All exponent vectors mu (including 0) with order.degree(mu) <
+    bound."""
     if bound <= 0:
         return []
     if wcache is None:
@@ -60,28 +44,12 @@ def _multiples_below(order, bound, n, max_deg, wcache=None):
                 continue
             w = wcache.get(nxt)
             if w is None:
-                w = _wdeg(order, nxt)
+                w = order.degree(nxt)
                 wcache[nxt] = w
             if w < bound:
                 seen.add(nxt)
                 queue.append(nxt)
     return out
-
-
-def _shift_vector(space, terms, mu):
-    """Truncated column vector of x^mu * (term dict)."""
-    vec = {}
-    if not any(mu):
-        for expo, c in terms.items():
-            idx = space.index.get(expo)
-            if idx is not None:
-                vec[idx] = c
-        return vec
-    for expo, c in terms.items():
-        idx = space.index.get(tuple(a + b for a, b in zip(expo, mu)))
-        if idx is not None:
-            vec[idx] = c
-    return vec
 
 
 def _monomials_by_order(space, order):
@@ -116,7 +84,7 @@ def _pruned_generators(f, alpha, p, order, space, prune_level, by_order,
     omitted (those lie in the monomial level span).  Yields (term dict,
     mu) pairs standing for the truncated x^mu * G."""
     n = f.n
-    drops = _drop_bounds(order)
+    drops = order.drops
     vals = [val for val, m in by_order]
     if cache is None:
         cache = {}
@@ -167,18 +135,23 @@ def _pspan_space(f, alpha, p, order, ma):
 
 def _ideal_pspan(f, alpha, p, order, modulo, ma):
     """Truncated row span of I_p(alpha Z), optionally plus the Jacobian
-    ideal (and f).  Returns (space, span)."""
-    if modulo not in ("nothing", "jacobian", "jacobian_and_f"):
-        raise ValueError("unknown modulo mode %r" % modulo)
-    space = _pspan_space(f, alpha, p, order, ma)
+    ideal (and f).  Returns (space, span).
+
+    Modulo the Jacobian ideal J the span lives on the record's space,
+    degrees below ma.N, and starts from the record's span: the terms
+    that truncation drops have degree >= N, so they lie in m^N, inside
+    m^{N-2}, inside J, and truncated membership in I + J (or I + J +
+    (f)) is exact.  Only I_p(alpha Z) alone needs a space fat enough
+    for its dropped terms to lie in the monomial level (_pspan_space)."""
     if modulo == "nothing":
+        space = _pspan_space(f, alpha, p, order, ma)
         span = RowSpan()
-    elif space is ma.space:
+    elif modulo in ("jacobian", "jacobian_and_f"):
+        space = ma.space
         span = (ma.tjurina_span if modulo == "jacobian_and_f"
                 else ma.span).copy()
     else:
-        gens = _partials(f) + ([f] if modulo == "jacobian_and_f" else [])
-        span = _span_with(RowSpan(), space, gens)
+        raise ValueError("unknown modulo mode %r" % modulo)
     by_order = _monomials_by_order(space, order)
     level = alpha + p
     for val, m in by_order:
@@ -186,7 +159,7 @@ def _ideal_pspan(f, alpha, p, order, modulo, ma):
             span.insert({space.index[m]: Fraction(1)})
     for G, mu in _pruned_generators(f, alpha, p, order, space, level,
                                     by_order):
-        span.insert(_shift_vector(space, G, mu))
+        span.insert(space.to_vector(G, mu))
     return space, span
 
 
@@ -201,7 +174,7 @@ def hodge_ideal_member(f, alpha, p, g, modulo="nothing", hint=None):
     ma = milnor_algebra(f)
     order = ma.order(hint)
     space, span = _ideal_pspan(f, alpha, p, order, modulo, ma)
-    return span.contains(space.to_vector(g))
+    return span.contains(space.to_vector(g.terms))
 
 
 class VHIFiltration:
@@ -285,7 +258,7 @@ def _v_hi_pass(ma, order, p_max):
                 continue
             for G, mu in _pruned_generators(f, a, p, order, space, s,
                                             by_order, cache):
-                insert(_shift_vector(space, G, mu))
+                insert(space.to_vector(G, mu))
         for state in list(growing):
             _, span, base_rank, jumps, dims = state
             d = span.rank() - base_rank
@@ -368,7 +341,7 @@ def _epsilon(ma, order, sp):
         expo[i] = 1
         candidates.append(Polynomial.monomial(f.n, expo))
     outside = [g for g in candidates
-               if not span2.contains(ma.space.to_vector(g))]
+               if not span2.contains(ma.space.to_vector(g.terms))]
     gamma_quot = max(order_of(order, g) for g in outside)
     if f.order() >= 3:
         gamma_ord = gamma(order, Polynomial.constant(f.n, 1))
@@ -405,8 +378,8 @@ def theorem1_check(f, hint=None):
         if order.monomial_order(m) >= alpha_max:
             if span_v.insert({ma.space.index[m]: Fraction(1)}):
                 top_dim += 1
-    f_in_top = span_v.contains(ma.space.to_vector(f))
-    f_nonzero = not ma.span.contains(ma.space.to_vector(f))
+    f_in_top = span_v.contains(ma.space.to_vector(f.terms))
+    f_nonzero = not ma.span.contains(ma.space.to_vector(f.terms))
     hyp = (tau == ma.mu - 1 and top_dim == 1 and f_in_top and f_nonzero)
     report["hypothesis_f_spans_top"] = hyp
     if not hyp:

@@ -65,11 +65,17 @@ class TruncatedSpace:
     def dimension(self):
         return len(self.monomials)
 
-    def to_vector(self, g):
-        """Sparse {column: coefficient} image of g, truncated."""
+    def to_vector(self, terms, shift=None):
+        """Sparse {column: coefficient} image of x^shift * terms (a term
+        dict), truncated; distinct exponents stay distinct under the
+        shift, so no two terms share a column."""
+        shifted = shift is not None and any(shift)
+        index = self.index
         vec = {}
-        for expo, c in g.terms.items():
-            idx = self.index.get(expo)
+        for expo, c in terms.items():
+            if shifted:
+                expo = tuple(a + b for a, b in zip(expo, shift))
+            idx = index.get(expo)
             if idx is not None:
                 vec[idx] = c
         return vec
@@ -89,12 +95,7 @@ def _insert_multiples(span, space, g, low=0):
             break
         if sum(m) < low:
             continue
-        prod = {}
-        for expo, c in g.terms.items():
-            col = space.index.get(tuple(a + b for a, b in zip(m, expo)))
-            if col is not None:
-                prod[col] = prod.get(col, Fraction(0)) + c
-        span.insert(prod)
+        span.insert(space.to_vector(g.terms, m))
 
 
 def _span_with(span, space, gens):
@@ -154,7 +155,7 @@ class MilnorAlgebra:
 
     def reduce(self, g):
         """Coordinates of g over basis_monomials, mod the Jacobian ideal."""
-        nf = self.span.reduce(self.space.to_vector(g))
+        nf = self.span.reduce(self.space.to_vector(g.terms))
         return {self.space.monomials[i]: c for i, c in nf.items()}
 
     def memo(self, key, compute, *args):
@@ -274,7 +275,7 @@ def ideal_membership(f, g, include_f):
         return True
     # to_vector drops only degrees >= N, which lie in m^N inside J
     span = ma.tjurina_span if include_f else ma.span
-    return span.contains(ma.space.to_vector(g))
+    return span.contains(ma.space.to_vector(g.terms))
 
 
 class FilteredDims:

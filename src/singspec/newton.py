@@ -1,6 +1,6 @@
 """Newton polyhedra of germs: supports, facets, compact faces, the
-Newton order v(g), non-degeneracy testing, convenientization, and
-semi-weighted-homogeneous structure.
+filtration orders (weight order and Newton order v(g)), non-degeneracy
+testing, convenientization, and semi-weighted-homogeneous structure.
 
 Facets are found by exact dual enumeration: candidate normals come from
 small subsets of the support combined with coordinate directions, which
@@ -70,34 +70,27 @@ class LinearForm:
 
 
 class Face:
-    """A face of a Newton polyhedron: its support points, the coordinate
-    directions of its recession cone, and the facets containing it."""
+    """A compact face of a Newton polyhedron: its support points and its
+    dimension."""
 
-    __slots__ = ("points", "free_directions", "defining_facets", "dimension")
+    __slots__ = ("points", "dimension")
 
-    def __init__(self, points, free_directions, defining_facets, dimension):
+    def __init__(self, points, dimension):
         object.__setattr__(self, "points", frozenset(points))
-        object.__setattr__(self, "free_directions", frozenset(free_directions))
-        object.__setattr__(self, "defining_facets", frozenset(defining_facets))
         object.__setattr__(self, "dimension", dimension)
 
     def __setattr__(self, name, value):
         raise AttributeError("Face is immutable")
 
-    @property
-    def compact(self):
-        return not self.free_directions
-
     def __eq__(self, other):
-        return (isinstance(other, Face) and self.points == other.points
-                and self.free_directions == other.free_directions)
+        return isinstance(other, Face) and self.points == other.points
 
     def __hash__(self):
-        return hash((self.points, self.free_directions))
+        return hash(self.points)
 
     def __repr__(self):
-        return "Face(dim=%d, points=%s, free=%s)" % (
-            self.dimension, sorted(self.points), sorted(self.free_directions))
+        return "Face(dim=%d, points=%s)" % (self.dimension,
+                                            sorted(self.points))
 
 
 class NewtonPolyhedron:
@@ -123,11 +116,11 @@ def support(f):
     return f.support()
 
 
-def _face_dimension(points, free_directions, n):
+def _face_dimension(points, free, n):
     points = list(points)
     base = points[0]
     rows = [[p[i] - base[i] for i in range(n)] for p in points[1:]]
-    for j in free_directions:
+    for j in free:
         row = [0] * n
         row[j] = 1
         rows.append(row)
@@ -248,111 +241,77 @@ def strictly_positive_forms(forms):
 
 
 def compact_faces(NP):
-    """All compact faces of the polyhedron, dimensions 0 .. n-1."""
+    """All compact faces of the polyhedron, dimensions 0 .. n-1: the
+    facet intersections whose recession cone has no free direction."""
     n = NP.n
-    supp = sorted(NP.support)
-    whole = (frozenset(supp), frozenset(range(n)))
+    whole = (frozenset(NP.support), frozenset(range(n)))
     seen = {whole}
     queue = [whole]
-    faces = {}
     while queue:
         points, free = queue.pop()
-        for idx, facet in enumerate(NP.facets):
+        for facet in NP.facets:
             new_points = frozenset(p for p in points
                                    if facet.evaluate(p) == 0)
             if not new_points:
                 continue
             new_free = frozenset(j for j in free if facet.coeffs[j] == 0)
             key = (new_points, new_free)
-            if key == (points, free):
-                continue
             if key not in seen:
                 seen.add(key)
                 queue.append(key)
-    for points, free in seen:
-        if (points, free) == whole and len(NP.facets) > 0:
-            continue  # the whole polyhedron is not a proper face
-        dim = _face_dimension(points, free, n)
-        tight = frozenset(
-            i for i, fc in enumerate(NP.facets)
-            if all(fc.evaluate(p) == 0 for p in points)
-            and all(fc.coeffs[j] == 0 for j in free))
-        faces.setdefault((points, free), Face(points, free, tight, dim))
-    results = [fc for fc in faces.values() if fc.compact and fc.dimension < n]
+    results = [Face(points, _face_dimension(points, (), n))
+               for points, free in seen if not free]
     results.sort(key=lambda fc: (fc.dimension, sorted(fc.points)))
     return results
 
 
-def newton_order(NP, g):
-    """v(g) = max {a : 1^n + Supp g inside a * Gamma_+}."""
-    if g.is_zero():
-        raise ValueError("zero polynomial has no Newton order")
-    scaling = NP.scaling_facets()
-    if not scaling:
-        raise ValueError("polyhedron has no facet with nonzero constant")
-    best = None
-    for nu in g.support():
-        shifted = tuple(v + 1 for v in nu)
-        val = min(sum(c * s for c, s in zip(fc.coeffs, shifted))
-                  for fc in scaling)
-        if best is None or val < best:
-            best = val
-    return best
-
-
 class FiltrationOrder:
-    """Monomial order rule: weight kind ell_w(nu) = sum w_i (nu_i + 1),
-    or Newton kind v(x^nu)."""
+    """Monomial order rule ord(x^nu) = min over forms ell of ell(nu + 1),
+    for positive linear forms ell: the one form w of the weight kind, the
+    scaling-facet coefficient vectors of the Newton kind v(x^nu).  kind
+    labels the route; weights are kept for the product formula."""
 
-    __slots__ = ("kind", "weights", "polyhedron", "_cache")
+    __slots__ = ("kind", "weights", "forms", "drops", "_cache")
 
-    def __init__(self, kind, weights=None, polyhedron=None):
-        if kind not in ("weight", "newton"):
-            raise ValueError("unknown filtration kind %r" % kind)
-        if kind == "weight" and weights is None:
-            raise ValueError("weight kind needs weights")
-        if kind == "newton" and polyhedron is None:
-            raise ValueError("newton kind needs a polyhedron")
+    def __init__(self, kind, forms, weights=None):
+        forms = tuple(tuple(Fraction(c) for c in ell) for ell in forms)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "weights",
-                           tuple(Fraction(w) for w in weights)
-                           if weights is not None else None)
-        object.__setattr__(self, "polyhedron", polyhedron)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "drops", tuple(
+            max(ell[i] for ell in forms) for i in range(len(forms[0]))))
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("FiltrationOrder is immutable")
 
-    @property
-    def n(self):
-        if self.kind == "weight":
-            return len(self.weights)
-        return self.polyhedron.n
+    def degree(self, mu):
+        """min ell(mu): ord(x^mu * g) >= degree(mu) + ord(g)."""
+        return min(sum(c * e for c, e in zip(ell, mu)) for ell in self.forms)
 
     def monomial_order(self, nu):
+        """min ell(nu + 1); drops[i] = max ell_i bounds its decrease
+        under d/dx_i."""
         nu = tuple(nu)
         cached = self._cache.get(nu)
         if cached is not None:
             return cached
-        if self.kind == "weight":
-            val = sum(w * (v + 1) for w, v in zip(self.weights, nu))
-        else:
-            scaling = self.polyhedron.scaling_facets()
-            if not scaling:
-                raise ValueError("polyhedron has no scaling facet")
-            shifted = tuple(v + 1 for v in nu)
-            val = min(sum(c * s for c, s in zip(fc.coeffs, shifted))
-                      for fc in scaling)
+        val = min(sum(c * (v + 1) for c, v in zip(ell, nu))
+                  for ell in self.forms)
         self._cache[nu] = val
         return val
 
 
 def weight_order(w):
-    return FiltrationOrder("weight", weights=w)
+    w = tuple(Fraction(x) for x in w)
+    return FiltrationOrder("weight", (w,), w)
 
 
 def newton_filtration(NP):
-    return FiltrationOrder("newton", polyhedron=NP)
+    scaling = NP.scaling_facets()
+    if not scaling:
+        raise ValueError("polyhedron has no scaling facet")
+    return FiltrationOrder("newton", [fc.coeffs for fc in scaling])
 
 
 def order_of(order, g):
@@ -466,9 +425,6 @@ class NondegeneracyVerdict:
         self.face = face
         self.reason = reason
 
-    def __bool__(self):
-        return self.status == "yes"
-
     def __repr__(self):
         return "NondegeneracyVerdict(%r, face=%r, reason=%r)" % (
             self.status, self.face, self.reason)
@@ -513,7 +469,13 @@ def is_nondegenerate(f, reduction_cap=100000):
     higher faces are re-parametrized to lattice coordinates and decided
     by an exact unit-ideal test with monomial saturation."""
     NP = newton_polyhedron(f)
-    for face in compact_faces(NP):
+    return _face_verdict(f, NP, compact_faces(NP), reduction_cap)
+
+
+def _face_verdict(f, NP, faces, reduction_cap=100000):
+    """The face loop of is_nondegenerate, on a polyhedron NP of f and its
+    compact faces already built."""
+    for face in faces:
         if face.dimension == 0:
             continue
         systems, d = _face_torus_system(f, face)
@@ -572,35 +534,33 @@ def convenientize(f, m):
         raise DegenerateError("input must have non-degenerate Newton "
                               "boundary (verdict %s)" % verdict.status)
     n = f.n
-    current = f
-    used = []
-    missing = _missing_axes(current.support(), n)
+    missing = _missing_axes(f.support(), n)
     if not missing:
         return (), (lambda c: f)
+    current = f
+    old_faces = compact_faces(verdict.polyhedron)
     chosen = {}
     for i in missing:
-        old_faces = compact_faces(newton_polyhedron(current))
         found = None
         for a in range(m, m + 65):
-            if a in used:
+            if a in chosen.values():
                 continue
-            expo = [0] * n
-            expo[i] = a
-            apex = tuple(expo)
-            candidate = current + Polynomial.monomial(n, expo)
-            new_faces = compact_faces(newton_polyhedron(candidate))
+            apex = tuple(a if j == i else 0 for j in range(n))
+            candidate = current + Polynomial.monomial(n, apex)
+            NP = newton_polyhedron(candidate)
+            new_faces = compact_faces(NP)
             if not _new_faces_admissible(old_faces, new_faces, apex, n):
                 continue
-            if is_nondegenerate(candidate).status == "yes":
+            if _face_verdict(candidate, NP, new_faces).status == "yes":
                 found = a
                 break
         if found is None:
             raise ResourceCapError(
                 "no admissible exponent for axis %d in window [%d, %d]"
                 % (i + 1, m, m + 64))
-        used.append(found)
         chosen[i] = found
         current = candidate
+        old_faces = new_faces
 
     axes = sorted(chosen)
     exponents = tuple(chosen[i] for i in axes)
@@ -652,8 +612,9 @@ def swh_structure(f, w):
     if below or f1.is_zero():
         return SwhStructure(f1, f_gt1, False, sorted(below))
     from . import localalg
-    try:
-        localalg.milnor_algebra(f1)
+    milnor = localalg.milnor_algebra
+    try:  # cached only when f1 is f: the one record is f's
+        (milnor if f1 == f else milnor.__wrapped__)(f1)
     except Exception:
         return SwhStructure(f1, f_gt1, False, [])
     return SwhStructure(f1, f_gt1, True, [])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singspec import hodge, newton
+from singspec import hodge, localalg, newton
 from singspec.cli import main
 from singspec.errors import ResourceCapError
 from singspec.hodge import hodge_ideal_member
@@ -83,6 +83,26 @@ def test_report_computes_each_invariant_once(fresh_cache, monkeypatch,
     stages.clear()
     assert report_json(capsys, *route) == first
     assert not calls and not stages
+
+
+def test_weighted_report_keeps_one_record(fresh_cache, monkeypatch,
+                                          capsys):
+    # swh_structure tests the weight-one part f1 for isolation without
+    # keeping a record of it, and reuses f's own record when f1 is f
+    report_json(capsys, "--weights", "1/5,1/4")
+    assert milnor_algebra.cache_info().currsize == 1
+    milnor_algebra.cache_clear()
+    builds = Counter()
+    jacobian_span = localalg.jacobian_span
+
+    def counting(f, N):
+        builds[f] += 1
+        return jacobian_span(f, N)
+
+    monkeypatch.setattr(localalg, "jacobian_span", counting)
+    assert main(["report", "x^5 + y^4", "--weights", "1/5,1/4"]) == 0
+    assert milnor_algebra.cache_info().currsize == 1
+    assert list(builds.values()) == [1]
 
 
 def test_report_independent_of_trunc(fresh_cache, capsys):

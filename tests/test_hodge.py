@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singspec import hodge
 from singspec.hodge import (_op_chain, epsilon_f, hodge_ideal_member,
                             hodge_ideal_spectrum, monotonicity_scan,
                             pmax_probe, prop1_check, prop2_witness,
@@ -209,3 +210,43 @@ def test_op_chain_matches_op_P_tilde(case):
         assert fresh == expected.terms
         assert _op_chain(fd, partials, f.n, seq[:k], beta, m, N,
                          cache) == expected.terms
+
+
+@pytest.mark.parametrize("text", ["x^6+y^5+x^4*y^2",
+                                  "x^4+y^6+x^2*y^3+x^3*y^2"])
+def test_scan_violations_match_membership_reference(monkeypatch, text):
+    """With generators dropped by a content rule the model is no longer
+    monotone, so the scan reaches its violation branch; its verdicts
+    must match consecutive-point membership tests mod the Jacobian
+    ideal under the same generators."""
+    pruned_generators = hodge._pruned_generators
+
+    def pruned(*args):
+        for G, mu in pruned_generators(*args):
+            if any(mu) or sum(c.denominator for c in G.values()) % 3:
+                yield G, mu
+
+    monkeypatch.setattr(hodge, "_pruned_generators", pruned)
+    f = poly(text)
+    p = 1
+    violations = monotonicity_scan(f, p=p)
+    ma = milnor_algebra(f)
+    order = ma.order()
+    by_order = hodge._monomials_by_order(ma.space, order)
+    jumps = sorted({v for v, m in by_order if 0 < v <= 1} | {Fraction(1)})
+    points = sorted(set(jumps)
+                    | {(a + b) / 2 for a, b in zip(jumps, jumps[1:])})
+    reference = []
+    for a, a_hi in zip(points, points[1:]):
+        for G, mu in hodge._pruned_generators(f, a_hi, p, order, ma.space,
+                                              a_hi + p, by_order):
+            g = (Polynomial(2, G) * Polynomial.monomial(2, mu)) \
+                .truncate(ma.space.N)
+            if not hodge_ideal_member(f, a, p, g, "jacobian"):
+                reference.append((a, a_hi))
+                break
+    assert reference
+    assert [(a, a_hi) for a, a_hi, g in violations] == reference
+    for a, a_hi, g in violations:
+        assert hodge_ideal_member(f, a_hi, p, g, "jacobian")
+        assert not hodge_ideal_member(f, a, p, g, "jacobian")

@@ -1,15 +1,18 @@
 """Newton polyhedra, filtration orders, non-degeneracy, convenientizing."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singspec import newton
 from singspec.errors import DegenerateError
 from singspec.newton import (compact_faces, convenientize, gamma,
                              is_nondegenerate, newton_filtration,
-                             newton_order, newton_polyhedron, order_of,
+                             newton_polyhedron, order_of,
                              polytope_linear_forms, strictly_positive_forms,
                              swh_structure, weight_order)
 from singspec.polycore import Polynomial, make_weights, parse_polynomial
@@ -38,11 +41,11 @@ def test_polyhedron_not_convenient():
 
 
 def test_newton_order_shifted():
-    NP = newton_polyhedron(poly("x^5 + y^4"))
+    order = newton_filtration(newton_polyhedron(poly("x^5 + y^4")))
     # v(x^a y^b) = (a+1)/5 + (b+1)/4
-    assert newton_order(NP, poly("1")) == Fraction(9, 20)
-    assert newton_order(NP, poly("x*y^2")) == Fraction(23, 20)
-    assert newton_order(NP, poly("x^3 + y")) == Fraction(7, 10)
+    assert order_of(order, poly("1")) == Fraction(9, 20)
+    assert order_of(order, poly("x*y^2")) == Fraction(23, 20)
+    assert order_of(order, poly("x^3 + y")) == Fraction(7, 10)
 
 
 def test_weight_and_newton_order_agree_on_brieskorn():
@@ -100,6 +103,28 @@ def test_convenientize_adds_missing_axes():
     g = builder(1)
     assert newton_polyhedron(g).convenient
     assert is_nondegenerate(g).status == "yes"
+
+
+@pytest.mark.parametrize("text, exponents, augmented", [
+    ("x^2*y + y^4", (5,), "x^2*y + y^4 + x^5"),
+    ("x^3*y + x*y^3", (5, 6), "x*y^3 + x^3*y + x^5 + y^6"),
+])
+def test_convenientize_builds_each_polyhedron_once(monkeypatch, text,
+                                                   exponents, augmented):
+    builds = Counter()
+    build = newton.newton_polyhedron
+
+    def counting(f):
+        builds[f] += 1
+        return build(f)
+
+    monkeypatch.setattr(newton, "newton_polyhedron", counting)
+    f = poly(text)
+    got, builder = convenientize(f, f.degree() + 1)
+    assert got == exponents
+    assert builder(1).to_string(["x", "y"]) == augmented
+    assert len(builds) == len(exponents) + 1
+    assert max(builds.values()) == 1
 
 
 def test_convenientize_noop_when_convenient():
@@ -165,5 +190,36 @@ def test_brieskorn_always_nondegenerate(a, b):
     assert is_nondegenerate(f).status == "yes"
     NP = newton_polyhedron(f)
     assert NP.convenient
-    assert newton_order(NP, Polynomial.constant(2, 1)) == \
+    assert order_of(newton_filtration(NP), Polynomial.constant(2, 1)) == \
         Fraction(1, a) + Fraction(1, b)
+
+
+@st.composite
+def filtration_orders(draw):
+    """A weight order with positive weights, or the Newton order of a
+    convenient germ in two or three variables."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    if draw(st.booleans()):
+        return weight_order([Fraction(1, draw(st.integers(2, 9)))
+                             for _ in range(n)])
+    terms = {tuple(draw(st.integers(3, 8)) if j == i else 0
+                   for j in range(n)): 1 for i in range(n)}
+    for _ in range(draw(st.integers(0, 2))):
+        terms[tuple(draw(st.integers(1, 3)) for _ in range(n))] = 1
+    return newton_filtration(newton_polyhedron(Polynomial(n, terms)))
+
+
+@given(filtration_orders(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_order_degree_and_drop_bounds(order, data):
+    n = len(order.drops)
+    mu = data.draw(st.tuples(*[st.integers(0, 6)] * n))
+    for nu in product(range(6), repeat=n):
+        nu_mu = tuple(a + b for a, b in zip(nu, mu))
+        assert order.monomial_order(nu_mu) >= \
+            order.degree(mu) + order.monomial_order(nu)
+        for i in range(n):
+            if nu[i]:
+                down = nu[:i] + (nu[i] - 1,) + nu[i + 1:]
+                assert order.monomial_order(nu) \
+                    - order.monomial_order(down) <= order.drops[i]
