@@ -8,12 +8,15 @@ of any of these breaks the benchmark, so it is caught here first."""
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import singspec
 from singspec import localalg
 
-SPANS = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "bench", "spans.py")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench")
+SPANS = os.path.join(BENCH, "spans.py")
 
 
 def load_spans():
@@ -50,3 +53,14 @@ def test_closed_loop_empties_the_germ_records():
         assert localalg.milnor_algebra(f) is not before
     finally:
         localalg.set_truncation_start(prev)
+
+
+def test_bench_runs_every_workload():
+    # exit 1 means an uncaught exception in the bench's import, its
+    # warm-ups or its closed loop; a wrong answer would count as failed
+    for trace in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, os.path.join(BENCH, "run.py"), "--workload",
+             "all", "--seconds", "1", "--trace", trace],
+            capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, (trace, done.stderr[-2000:])

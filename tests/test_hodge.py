@@ -4,7 +4,7 @@ checks, and the non-monotonicity scan."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from singspec import hodge
@@ -14,8 +14,8 @@ from singspec.hodge import (_op_chain, epsilon_f, hodge_ideal_member,
                             theorem1_check, theorem2_check, theorem3_witness,
                             tjurina_subspectrum, v_hi_filtration)
 from singspec.localalg import milnor_algebra, steenbrink_spectrum
-from singspec.polycore import (Polynomial, op_P_tilde, parse_polynomial,
-                               partial_derivative)
+from singspec.polycore import (Polynomial, Spectrum, op_P_tilde,
+                               parse_polynomial, partial_derivative)
 
 
 def poly(text, variables=("x", "y")):
@@ -250,3 +250,79 @@ def test_scan_violations_match_membership_reference(monkeypatch, text):
     for a, a_hi, g in violations:
         assert hodge_ideal_member(f, a_hi, p, g, "jacobian")
         assert not hodge_ideal_member(f, a, p, g, "jacobian")
+
+
+def reference_vhi(f, hint, start):
+    """V_HI as the pass computed it before the chains were stopped:
+    stage by stage, the monomial level and every pruned generator are
+    inserted into a copy of the span start (the Jacobian span, or the
+    Jacobian span plus f), and only a full quotient ends the pass."""
+    ma = milnor_algebra(f)
+    order = ma.order(hint)
+    space = ma.space
+    span = start.copy()
+    base = span.rank()
+    by_order = hodge._monomials_by_order(space, order)
+    desc = list(reversed(by_order))
+    p_max = f.n + 1
+    stages = sorted({a + p for a in hodge._candidate_alphas(space, order)
+                     for p in range(p_max + 1)}, reverse=True)
+    frontier = 0
+    jumps, dims = [], []
+    for s in stages:
+        while frontier < len(desc) and desc[frontier][0] >= s:
+            span.insert({space.index[desc[frontier][1]]: Fraction(1)})
+            frontier += 1
+        for p in range(p_max + 1):
+            if 0 < s - p <= 1:
+                for G, mu in hodge._pruned_generators(f, s - p, p, order,
+                                                      space, s, by_order):
+                    span.insert(space.to_vector(G, mu))
+        jumps.append(s)
+        dims.append(span.rank() - base)
+        if dims[-1] == space.dimension - base:
+            break
+    return hodge.VHIFiltration(jumps[::-1], dims[::-1])
+
+
+def assert_vhi_matches_reference(f, hint):
+    ma = milnor_algebra(f)
+    jac = reference_vhi(f, hint, ma.span)
+    vhi = v_hi_filtration(f, hint=hint)
+    assert (vhi.jumps, vhi.subspace_dims) == (jac.jumps, jac.subspace_dims)
+    tj = reference_vhi(f, hint, ma.tjurina_span)
+    assert tjurina_subspectrum(f, hint) == Spectrum(f.n, tj.graded_dims())
+
+
+@pytest.mark.parametrize("text,variables,hint", [
+    (F54, "xy", None),
+    (F54, "xy", (Fraction(1, 5), Fraction(1, 4))),
+    ("x^5 + x^2*y^2 + y^5", "xy", None),
+    ("x^3 + y^7 + x^2*y^3", "xy", None),
+    ("x^3 + y^7 + x^2*y^3", "xy", (Fraction(1, 3), Fraction(1, 7))),
+    ("x^3 + y^3 + z^4 + x*y*z^2", "xyz",
+     (Fraction(1, 3), Fraction(1, 3), Fraction(1, 4))),
+])
+def test_vhi_matches_unstopped_reference(text, variables, hint):
+    assert_vhi_matches_reference(poly(text, variables), hint)
+
+
+@st.composite
+def above_weight_one(draw):
+    """x^a + y^b + c x^i y^j with i/a + j/b > 1, and its weights."""
+    a = draw(st.integers(2, 6))
+    b = draw(st.integers(3, 7))
+    i = draw(st.integers(1, a))
+    j = draw(st.integers(1, b))
+    assume(Fraction(i, a) + Fraction(j, b) > 1)
+    c = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]))
+    f = Polynomial(2, {(a, 0): Fraction(1), (0, b): Fraction(1),
+                       (i, j): Fraction(c)})
+    return f, (Fraction(1, a), Fraction(1, b))
+
+
+@given(above_weight_one(), st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_vhi_matches_unstopped_reference_family(case, weighted):
+    f, weights = case
+    assert_vhi_matches_reference(f, weights if weighted else None)
