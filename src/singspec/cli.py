@@ -49,7 +49,8 @@ def _build_parser():
         sp.add_argument("--trunc", type=int, default=None,
                         help="starting truncation degree")
         sp.add_argument("--max-p", dest="max_p", type=int, default=None,
-                        help="cutoff for the Hodge-ideal index p")
+                        help="cutoff for the Hodge-ideal index p (no "
+                        "effect on tj-spectrum)")
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--time", dest="timing", action="store_true")
@@ -160,7 +161,7 @@ def emit_report(f, hint, variables, text, args):
     }
     sp = steenbrink_spectrum(f, hint)
     hi = hodge_ideal_spectrum(f, hint, args.max_p)
-    tj = tjurina_subspectrum(f, hint, args.max_p)
+    tj = tjurina_subspectrum(f, hint)
     gamma_f, eps = epsilon_f(f, hint)
     report.update({
         "spectrum": sp,
@@ -197,7 +198,7 @@ def _dispatch(args):
         elif verb == "hi-spectrum":
             sp = hodge_ideal_spectrum(f, hint, args.max_p)
         else:
-            sp = tjurina_subspectrum(f, hint, args.max_p)
+            sp = tjurina_subspectrum(f, hint)
         lines = _spectrum_lines(verb, sp)
         payload = {verb.replace("-", "_"): _spectrum_json(sp)}
     elif verb == "newton":

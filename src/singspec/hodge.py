@@ -1,7 +1,11 @@
 """Hodge-ideal machinery: generator sets built from the operators
-P(i, beta) = f d_i - beta f_i, the V_HI filtration on the Milnor and
-Tjurina algebras, the Hodge-ideal spectrum and Tjurina subspectrum,
-epsilon_f, and executable verdicts for the main statements about them.
+P(i, beta) = f d_i - beta f_i, the V_HI filtration on the Milnor
+algebra, the Hodge-ideal spectrum and Tjurina subspectrum, epsilon_f,
+and executable verdicts for the main statements about them.
+
+Every chain generator P(i, beta)G = f d_i G - beta f_i G lies in
+(f) + J for the Jacobian ideal J, so modulo (f) + J, V_HI is the
+monomial order filtration.
 
 All ideal spans are truncated; soundness of every pruning step rests on
 two facts: the Jacobian span contains m^{N-2}, and the monomial
@@ -17,19 +21,15 @@ from math import ceil
 from .errors import ResourceCapError
 from .linalg import RowSpan
 from .localalg import (TruncatedSpace, filtered_quotient_dims,
-                       ideal_membership, milnor_algebra, tjurina_number)
+                       ideal_membership, milnor_algebra)
 from .newton import gamma, order_of
 from .polycore import (Polynomial, Spectrum, add_scaled, deriv_terms,
                        mul_terms, partial_derivative)
 
 
-def _multiples_below(order, bound, n, max_deg, wcache=None):
+def _multiples_below(order, bound, n, max_deg, wcache):
     """All exponent vectors mu (including 0) with order.degree(mu) <
-    bound."""
-    if bound <= 0:
-        return []
-    if wcache is None:
-        wcache = {}
+    bound, for bound > 0; wcache keeps order.degree by exponent."""
     out = []
     seen = {(0,) * n}
     queue = [(0,) * n]
@@ -135,21 +135,20 @@ def _pspan_space(f, alpha, p, order, ma):
 
 def _ideal_pspan(f, alpha, p, order, modulo, ma):
     """Truncated row span of I_p(alpha Z), optionally plus the Jacobian
-    ideal (and f).  Returns (space, span).
+    ideal J.  Returns (space, span).
 
-    Modulo the Jacobian ideal J the span lives on the record's space,
-    degrees below ma.N, and starts from the record's span: the terms
-    that truncation drops have degree >= N, so they lie in m^N, inside
-    m^{N-2}, inside J, and truncated membership in I + J (or I + J +
-    (f)) is exact.  Only I_p(alpha Z) alone needs a space fat enough
-    for its dropped terms to lie in the monomial level (_pspan_space)."""
+    Modulo J the span lives on the record's space, degrees below ma.N,
+    and starts from the record's span: the terms that truncation drops
+    have degree >= N, so they lie in m^N, inside m^{N-2}, inside J, and
+    truncated membership in I + J is exact.  Only I_p(alpha Z) alone
+    needs a space fat enough for its dropped terms to lie in the
+    monomial level (_pspan_space)."""
     if modulo == "nothing":
         space = _pspan_space(f, alpha, p, order, ma)
         span = RowSpan()
-    elif modulo in ("jacobian", "jacobian_and_f"):
+    elif modulo == "jacobian":
         space = ma.space
-        span = (ma.tjurina_span if modulo == "jacobian_and_f"
-                else ma.span).copy()
+        span = ma.span.copy()
     else:
         raise ValueError("unknown modulo mode %r" % modulo)
     by_order = _monomials_by_order(space, order)
@@ -164,8 +163,8 @@ def _ideal_pspan(f, alpha, p, order, modulo, ma):
 
 
 def hodge_ideal_member(f, alpha, p, g, modulo="nothing", hint=None):
-    """Exact truncated membership of g in I_p(alpha Z) (plus the chosen
-    ideal)."""
+    """Exact truncated membership of g in I_p(alpha Z), plus the
+    Jacobian ideal when modulo is "jacobian"."""
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
@@ -178,8 +177,8 @@ def hodge_ideal_member(f, alpha, p, g, modulo="nothing", hint=None):
 
 
 class VHIFiltration:
-    """Subspace dimensions of V_HI on the Milnor or Tjurina algebra at
-    the candidate jump levels (sorted ascending); shared by every caller
+    """Subspace dimensions of V_HI on the Milnor algebra at the
+    candidate jump levels (sorted ascending); shared by every caller
     through the germ record, so held in tuples."""
 
     __slots__ = ("jumps", "subspace_dims")
@@ -209,33 +208,25 @@ def _candidate_alphas(space, order):
                    for m in space.monomials} | {Fraction(1)})
 
 
-def v_hi_filtration(f, mode="mod_jacobian", hint=None, p_max=None):
+def v_hi_filtration(f, hint=None, p_max=None):
     """Dimensions of V_HI^beta = sum of I_p(alpha Z) over alpha + p >=
-    beta, modulo the Jacobian ideal (mode mod_jacobian) or the Tjurina
-    ideal (mode mod_jacobian_and_f), at every candidate jump.  Both modes
-    come from one pass, kept on the Milnor algebra of f."""
-    if mode not in ("mod_jacobian", "mod_jacobian_and_f"):
-        raise ValueError("unknown mode %r" % mode)
+    beta, modulo the Jacobian ideal, at every candidate jump; kept on
+    the Milnor algebra of f."""
     ma = milnor_algebra(f)
     order = ma.order(hint)
     if p_max is None:
         p_max = f.n + 1
-    return ma.memo(("v_hi", order, p_max), _v_hi_pass, ma, order,
-                   p_max)[mode]
+    return ma.memo(("v_hi", order, p_max), _v_hi_pass, ma, order, p_max)
 
 
 def _v_hi_pass(ma, order, p_max):
-    """Both V_HI filtrations, by mode.  The generators of each stage do
-    not depend on the mode, so each is enumerated once and inserted into
-    both spans; a mode stops at the stage where it fills its quotient,
-    and the Tjurina mode, whose span contains the other, never stops
-    later.  The operator-chain cache ends with the pass."""
+    """V_HI modulo J, one stage per candidate level in descending order,
+    ending at the stage that fills the quotient.  The operator-chain
+    cache ends with the pass."""
     f = ma.f
     space = ma.space
-    states = [(mode, base.copy(), base.rank(), [], [])
-              for mode, base in (("mod_jacobian", ma.span),
-                                 ("mod_jacobian_and_f", ma.tjurina_span))]
-    growing = list(states)
+    span = ma.span.copy()
+    base_rank = span.rank()
     by_order = _monomials_by_order(space, order)
     desc = list(reversed(by_order))
     alphas = _candidate_alphas(space, order)
@@ -243,79 +234,50 @@ def _v_hi_pass(ma, order, p_max):
                     reverse=True)
     frontier = 0
     cache = {}
-
-    def insert(vec):
-        for _, span, _, _, _ in growing:
-            span.insert(vec)
-
+    jumps, dims = [], []
     for s in stages:
         while frontier < len(desc) and desc[frontier][0] >= s:
-            insert({space.index[desc[frontier][1]]: Fraction(1)})
+            span.insert({space.index[desc[frontier][1]]: Fraction(1)})
             frontier += 1
         for p in range(p_max + 1):
             a = s - p
-            if not 0 < a <= 1:
-                continue
-            for G, mu in _pruned_generators(f, a, p, order, space, s,
-                                            by_order, cache):
-                insert(space.to_vector(G, mu))
-        for state in list(growing):
-            _, span, base_rank, jumps, dims = state
-            d = span.rank() - base_rank
-            jumps.append(s)
-            dims.append(d)
-            if d == space.dimension - base_rank:
-                growing.remove(state)
-        if not growing:
+            if 0 < a <= 1:
+                for G, mu in _pruned_generators(f, a, p, order, space, s,
+                                                by_order, cache):
+                    span.insert(space.to_vector(G, mu))
+        jumps.append(s)
+        dims.append(span.rank() - base_rank)
+        if dims[-1] == space.dimension - base_rank:
             break
-    return {mode: VHIFiltration(jumps[::-1], dims[::-1])
-            for mode, _, _, jumps, dims in states}
-
-
-def pmax_probe(f, mode="mod_jacobian", hint=None, p_max=None):
-    """True if raising the p cutoff by one leaves every V_HI dimension
-    unchanged; the cutoff at n+1 is a working hypothesis, not a theorem."""
-    if p_max is None:
-        p_max = f.n + 1
-    lo = v_hi_filtration(f, mode, hint, p_max=p_max)
-    hi = v_hi_filtration(f, mode, hint, p_max=p_max + 1)
-    levels = set(lo.jumps) | set(hi.jumps)
-    return all(lo.dimension_at(b) == hi.dimension_at(b) for b in levels)
+    return VHIFiltration(jumps[::-1], dims[::-1])
 
 
 def hodge_ideal_spectrum(f, hint=None, p_max=None):
     """Exponent multiset of the V_HI filtration on the Milnor algebra."""
-    return _v_hi_spectrum(f, "mod_jacobian", hint, p_max,
-                          "mu", milnor_algebra(f).mu)
-
-
-def tjurina_subspectrum(f, hint=None, p_max=None):
-    """Exponent multiset of V_HI on the Tjurina algebra."""
-    return _v_hi_spectrum(f, "mod_jacobian_and_f", hint, p_max,
-                          "tau", tjurina_number(f))
-
-
-def _v_hi_spectrum(f, mode, hint, p_max, name, total):
-    sp = Spectrum(f.n, v_hi_filtration(f, mode, hint, p_max).graded_dims())
-    if sp.total() != total:
-        raise AssertionError("V_HI spectrum %s totals %d, expected %s = %d"
-                             % (mode, sp.total(), name, total))
+    sp = Spectrum(f.n, v_hi_filtration(f, hint, p_max).graded_dims())
+    mu = milnor_algebra(f).mu
+    if sp.total() != mu:
+        raise AssertionError("V_HI spectrum totals %d, expected mu = %d"
+                             % (sp.total(), mu))
     return sp
+
+
+def tjurina_subspectrum(f, hint=None):
+    """Exponent multiset of V_HI on the Tjurina algebra, which is the
+    monomial order filtration there, whatever the p cutoff: every chain
+    generator P(i, beta)G = f d_i G - beta f_i G lies in (f) + J, and
+    the terms that truncation drops have degree >= N, in m^N inside J,
+    so modulo (f) + J only the monomial levels remain."""
+    order = milnor_algebra(f).order(hint)
+    return filtered_quotient_dims(f, order, True).to_spectrum(f.n)
 
 
 def _spectrum_difference(big, small):
     """Multiset difference; raises if small is not a sub-multiset."""
-    out = {}
-    for a, m in big.sorted_items():
-        d = m - small.multiplicity(a)
-        if d < 0:
-            raise AssertionError("not a sub-multiset at exponent %s" % a)
-        if d:
-            out[a] = d
-    for a, m in small.sorted_items():
-        if big.multiplicity(a) < m:
-            raise AssertionError("not a sub-multiset at exponent %s" % a)
-    return out
+    if not small.is_sub_multiset_of(big):
+        raise AssertionError("not a sub-multiset")
+    return {a: m - small.multiplicity(a) for a, m in big.sorted_items()
+            if m > small.multiplicity(a)}
 
 
 def epsilon_f(f, hint=None):

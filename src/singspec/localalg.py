@@ -131,7 +131,7 @@ def _contains_power(space, span, k):
 class MilnorAlgebra:
     """Milnor algebra of f, and the record of everything else computed
     for f: Tjurina span, non-degeneracy verdict, and per weight hint the
-    order, the spectrum and (from hodge) both V_HI filtrations, each
+    order, the spectrum and (from hodge) the V_HI filtration, each
     computed on first use and kept while milnor_algebra keeps this."""
 
     __slots__ = ("f", "N", "space", "span", "mu", "basis_monomials",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from singspec import hodge
 from singspec.hodge import (_op_chain, epsilon_f, hodge_ideal_member,
                             hodge_ideal_spectrum, monotonicity_scan,
-                            pmax_probe, prop1_check, prop2_witness,
+                            prop1_check, prop2_witness,
                             theorem1_check, theorem2_check, theorem3_witness,
                             tjurina_subspectrum, v_hi_filtration)
 from singspec.localalg import milnor_algebra, steenbrink_spectrum
@@ -41,6 +41,12 @@ def test_membership_rejects_bad_alpha():
         hodge_ideal_member(f, 0, 1, poly("x"))
     with pytest.raises(ValueError):
         hodge_ideal_member(f, 2, 1, poly("x"))
+
+
+@pytest.mark.parametrize("modulo", ["bogus", "jacobian_and_f"])
+def test_membership_rejects_unknown_modulo(modulo):
+    with pytest.raises(ValueError):
+        hodge_ideal_member(poly("x^5 + y^4"), 1, 1, poly("x"), modulo)
 
 
 def test_membership_f_multiple_moves_up_one_level():
@@ -83,6 +89,17 @@ def test_vhi_filtration_dims_monotone():
     assert dims == sorted(dims, reverse=True) or \
         dims == sorted(dims)  # ascending jump order, descending dims
     assert max(vhi.subspace_dims) == 12
+
+
+def pmax_probe(f, hint=None, p_max=None):
+    """True if raising the p cutoff by one leaves every V_HI dimension
+    unchanged; the cutoff at n+1 is a working hypothesis, not a theorem."""
+    if p_max is None:
+        p_max = f.n + 1
+    lo = v_hi_filtration(f, hint, p_max)
+    hi = v_hi_filtration(f, hint, p_max + 1)
+    levels = set(lo.jumps) | set(hi.jumps)
+    return all(lo.dimension_at(b) == hi.dimension_at(b) for b in levels)
 
 
 def test_pmax_probe_stable():
@@ -253,10 +270,10 @@ def test_scan_violations_match_membership_reference(monkeypatch, text):
 
 
 def reference_vhi(f, hint, start):
-    """V_HI as the pass computed it before the chains were stopped:
-    stage by stage, the monomial level and every pruned generator are
-    inserted into a copy of the span start (the Jacobian span, or the
-    Jacobian span plus f), and only a full quotient ends the pass."""
+    """V_HI generated in full: stage by stage, the monomial level and
+    every pruned generator are inserted into a copy of the span start
+    (the Jacobian span, or the Jacobian span plus f), and only a full
+    quotient ends the pass."""
     ma = milnor_algebra(f)
     order = ma.order(hint)
     space = ma.space
