@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singspec.polycore import (Polynomial, Spectrum, default_variables,
-                               make_weights, op_P, op_P_tilde,
+from singspec.polycore import (ParseError, Polynomial, Spectrum,
+                               default_variables, make_weights, op_P,
+                               op_P_tilde,
                                parse_polynomial, partial_derivative,
                                spectrum_T, spectrum_product_formula,
                                spectrum_symmetry_check,
@@ -35,6 +36,110 @@ def test_parse_rational_coefficients_and_parens():
 def test_parse_rejects_unknown_symbols():
     with pytest.raises(ValueError):
         parse_polynomial("x + w", ["x", "y"])
+
+
+@pytest.mark.parametrize("text, variables, message, position", [
+    ("1.5*x", ["x"], "non-rational coefficient", 0),
+    ("x + 1/", ["x"], "expected denominator digits", 6),
+    ("1/0*x", ["x"], "zero denominator", 2),
+    ("x $ y", ["x", "y"], "unexpected character '$'", 2),
+    ("x^2)+y", ["x", "y"], "trailing input", 3),
+    ("x^y", ["x", "y"], "exponent must be a non-negative integer", 1),
+    ("x^1/2", ["x"], "exponent must be a non-negative integer", 1),
+    ("x + w", ["x", "y"], "unknown variable 'w'", 4),
+    ("", ["x"], "unexpected token", 0),
+    ("x +", ["x"], "unexpected token", 3),
+    ("(x", ["x"], "expected ')'", 2),
+    ("x", [], "unknown variable 'x'", 0),
+])
+def test_parse_error_message_and_position(text, variables, message,
+                                          position):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, variables)
+    assert str(err.value) == "%s (at position %d)" % (message, position)
+    assert err.value.position == position
+
+
+def test_parse_constant_needs_a_variable():
+    with pytest.raises(ValueError, match="^need at least one variable$"):
+        parse_polynomial("1", [])
+
+
+# Random expression trees, rendered with the parser's precedences: a sum
+# (level 0) of terms (1) of factors (2) of atoms (3).  A unary minus
+# takes a whole factor ("-x^2" is -(x^2)), so it renders at level 2.
+TREE_VARS = ["x", "y", "z"]
+_LEAF = st.one_of(
+    st.sampled_from(TREE_VARS).map(lambda v: ("var", v)),
+    st.tuples(st.just("num"), st.integers(0, 12), st.integers(1, 6)))
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul"]), children, children),
+        st.tuples(st.sampled_from(["neg", "paren"]), children))
+
+
+_BASE = st.recursive(_LEAF, _extend, max_leaves=4)
+_TREE = st.recursive(
+    st.one_of(_LEAF, st.tuples(st.just("pow"), _BASE, st.integers(0, 4))),
+    _extend, max_leaves=8)
+
+
+def _render(node):
+    """(text, precedence level) of an expression tree."""
+    kind = node[0]
+    if kind == "var":
+        return node[1], 3
+    if kind == "num":
+        return "%d/%d" % node[1:] if node[2] != 1 else str(node[1]), 3
+    if kind == "paren":
+        return "(%s)" % _render_at(node[1], 0), 3
+    if kind == "neg":
+        return "-" + _render_at(node[1], 2), 2
+    if kind == "pow":
+        return "%s^%d" % (_render_at(node[1], 3), node[2]), 2
+    if kind == "mul":
+        return _render_at(node[1], 1) + "*" + _render_at(node[2], 2), 1
+    op = " + " if kind == "add" else " - "
+    return _render_at(node[1], 0) + op + _render_at(node[2], 1), 0
+
+
+def _render_at(node, level):
+    text, own = _render(node)
+    return text if own >= level else "(%s)" % text
+
+
+def _evaluate(node):
+    """The tree by Polynomial +, - and *; a power is repeated * grouped
+    as binary powering groups it (p^3 = p*(p*p)), which fixes term order."""
+    n = len(TREE_VARS)
+    kind = node[0]
+    if kind == "var":
+        expo = [0] * n
+        expo[TREE_VARS.index(node[1])] = 1
+        return Polynomial.monomial(n, expo)
+    if kind == "num":
+        return Polynomial.constant(n, Fraction(node[1], node[2]))
+    if kind == "paren":
+        return _evaluate(node[1])
+    if kind == "neg":
+        return -_evaluate(node[1])
+    if kind == "pow":
+        p = _evaluate(node[1])
+        return [Polynomial.constant(n, 1), p, p * p, p * (p * p),
+                (p * p) * (p * p)][node[2]]
+    a, b = _evaluate(node[1]), _evaluate(node[2])
+    return a + b if kind == "add" else a - b if kind == "sub" else a * b
+
+
+@given(_TREE)
+@settings(max_examples=150, deadline=None)
+def test_parse_matches_tree_arithmetic_in_term_order(tree):
+    text = _render_at(tree, 0)
+    parsed = parse_polynomial(text, TREE_VARS)
+    assert list(parsed.terms.items()) == \
+        list(_evaluate(tree).terms.items()), text
 
 
 def test_arithmetic_and_immutability():
