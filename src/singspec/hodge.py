@@ -146,11 +146,9 @@ def _ideal_pspan(f, alpha, p, order, modulo, ma):
     if modulo == "nothing":
         space = _pspan_space(f, alpha, p, order, ma)
         span = RowSpan()
-    elif modulo == "jacobian":
+    else:
         space = ma.space
         span = ma.span.copy()
-    else:
-        raise ValueError("unknown modulo mode %r" % modulo)
     by_order = _monomials_by_order(space, order)
     level = alpha + p
     for val, m in by_order:
@@ -168,6 +166,8 @@ def hodge_ideal_member(f, alpha, p, g, modulo="nothing", hint=None):
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
+    if modulo not in ("nothing", "jacobian"):
+        raise ValueError("unknown modulo mode %r" % modulo)
     if g.is_zero():
         return True
     ma = milnor_algebra(f)

@@ -7,9 +7,12 @@ exponent tuples to nonzero rationals, printed in graded lexicographic
 order so that printing and hashing are deterministic.
 """
 
+import re
 from fractions import Fraction
 from math import lcm
 from operator import add
+
+_ONE = Fraction(1)
 
 
 def grlex_key(exponent):
@@ -65,6 +68,23 @@ def deriv_terms(terms, i):
     j = i - 1
     return {e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
             for e, c in terms.items() if e[j]}
+
+
+def pow_terms(terms, k, n):
+    """k-th power (k >= 0) of a term dict in n variables: a single term
+    directly, otherwise by binary powering on mul_terms.  For k = 1 the
+    result is `terms` itself."""
+    if len(terms) == 1:
+        (e, c), = terms.items()
+        return {tuple([k * a for a in e]): c ** k}
+    result = None
+    while k:
+        if k & 1:
+            result = terms if result is None else mul_terms(result, terms)
+        k >>= 1
+        if k:
+            terms = mul_terms(terms, terms)
+    return {(0,) * n: _ONE} if result is None else result
 
 
 class Polynomial:
@@ -163,18 +183,6 @@ class Polynomial:
         c = Fraction(c)
         return Polynomial(self.n, {e: c * v for e, v in self.terms.items()})
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def truncate(self, degree_bound):
         """Drop all terms of total degree >= degree_bound."""
         return Polynomial._wrap(self.n, {e: c for e, c in self.terms.items()
@@ -232,60 +240,50 @@ class ParseError(ValueError):
         self.position = position
 
 
+_TOKEN = re.compile(r"\s*((\d+)(?:(\.)|/(\d*))?|(\w+)|([-+*^()])|(\S))")
+
+
 def _tokenize(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == ".":
+    for m in _TOKEN.finditer(text):
+        _, num, dot, den, name, op, bad = m.groups()
+        i = m.start(1)
+        if op:
+            tokens.append((op, op, i))
+        elif name:
+            # \w also matches digits that are not decimal, such as "\u00b2"
+            if not (name[0].isalpha() or name[0] == "_"):
+                raise ParseError("unexpected character %r" % name[0], i)
+            tokens.append(("name", name, i))
+        elif num:
+            if dot:
                 raise ParseError("non-rational coefficient", i)
-            num = int(text[i:j])
-            if j < len(text) and text[j] == "/":
-                k = j + 1
-                m = k
-                while m < len(text) and text[m].isdigit():
-                    m += 1
-                if m == k:
+            value = int(num)  # an exponent needs no Fraction
+            if den is not None:
+                k = i + len(num) + 1
+                if not den:
                     raise ParseError("expected denominator digits", k)
-                den = int(text[k:m])
-                if den == 0:
+                if not int(den):
                     raise ParseError("zero denominator", k)
-                tokens.append(("num", Fraction(num, den), i))
-                i = m
-            else:
-                tokens.append(("num", Fraction(num), i))
-                i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, i)
+                value = Fraction(value, int(den))
+            tokens.append(("num", value, i))
+        else:
+            raise ParseError("unexpected character %r" % bad, i)
     tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over tokens; every rule returns a term dict
+    that the caller owns."""
+
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.pos = 0
-        self.variables = list(variables)
-        self.index = {name: i for i, name in enumerate(self.variables)}
-        self.n = len(self.variables)
+        variables = list(variables)
+        self.n = n = len(variables)
+        self.units = {name: tuple(int(j == i) for j in range(n))
+                      for i, name in enumerate(variables)}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -302,23 +300,23 @@ class _Parser:
         return tok
 
     def parse_expression(self):
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            if self.take()[0] == "-":
-                sign = -1
-        result = self.parse_term().scale(sign)
+        sign = self.peek()[0]
+        if sign in ("+", "-"):
+            self.pos += 1
+        acc = self.parse_term()
+        if sign == "-":
+            acc = {e: -c for e, c in acc.items()}
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            term = self.parse_term()
-            result = result + term if op == "+" else result - term
-        return result
+            c = 1 if self.take()[0] == "+" else -1
+            add_scaled(acc, self.parse_term(), c)
+        return acc
 
     def parse_term(self):
-        result = self.parse_factor()
+        acc = self.parse_factor()
         while self.peek()[0] == "*":
-            self.take()
-            result = result * self.parse_factor()
-        return result
+            self.pos += 1
+            acc = mul_terms(acc, self.parse_factor())
+        return acc
 
     def parse_factor(self):
         base = self.parse_atom()
@@ -328,41 +326,38 @@ class _Parser:
             if exp_tok[0] != "num" or exp_tok[1].denominator != 1:
                 raise ParseError("exponent must be a non-negative integer",
                                  tok[2])
-            self.take()
-            base = base ** int(exp_tok[1])
+            self.pos += 1
+            base = pow_terms(base, int(exp_tok[1]), self.n)
         return base
 
     def parse_atom(self):
-        tok = self.peek()
-        if tok[0] == "(":
-            self.take()
+        kind, value, at = self.take()
+        if kind == "(":
             inner = self.parse_expression()
             self.expect(")")
             return inner
-        if tok[0] == "num":
-            self.take()
-            return Polynomial.constant(self.n, tok[1])
-        if tok[0] == "name":
-            self.take()
-            if tok[1] not in self.index:
-                raise ParseError("unknown variable %r" % tok[1], tok[2])
-            expo = [0] * self.n
-            expo[self.index[tok[1]]] = 1
-            return Polynomial.monomial(self.n, expo)
-        if tok[0] == "-":
-            self.take()
-            return -self.parse_factor()
-        raise ParseError("unexpected token", tok[2])
+        if kind == "num":
+            if not self.n:
+                raise ValueError("need at least one variable")
+            return {(0,) * self.n: Fraction(value)} if value else {}
+        if kind == "name":
+            if value not in self.units:
+                raise ParseError("unknown variable %r" % value, at)
+            return {self.units[value]: _ONE}
+        if kind == "-":
+            return {e: -c for e, c in self.parse_factor().items()}
+        raise ParseError("unexpected token", at)
 
 
 def parse_polynomial(text, variables):
-    """Parse `text` over the named variables into a Polynomial."""
+    """Parse `text` over the named variables into a Polynomial; terms keep
+    the order in which the text produces them."""
     parser = _Parser(_tokenize(text), variables)
-    poly = parser.parse_expression()
+    terms = parser.parse_expression()
     end = parser.take()
     if end[0] != "end":
         raise ParseError("trailing input", end[2])
-    return poly
+    return Polynomial._wrap(parser.n, terms)
 
 
 def partial_derivative(f, i):

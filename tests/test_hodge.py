@@ -45,8 +45,9 @@ def test_membership_rejects_bad_alpha():
 
 @pytest.mark.parametrize("modulo", ["bogus", "jacobian_and_f"])
 def test_membership_rejects_unknown_modulo(modulo):
-    with pytest.raises(ValueError):
-        hodge_ideal_member(poly("x^5 + y^4"), 1, 1, poly("x"), modulo)
+    for g in ("x", "0"):
+        with pytest.raises(ValueError, match="unknown modulo mode"):
+            hodge_ideal_member(poly("x^5 + y^4"), 1, 1, poly(g), modulo)
 
 
 def test_membership_f_multiple_moves_up_one_level():

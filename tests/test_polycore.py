@@ -60,6 +60,18 @@ def test_parse_error_message_and_position(text, variables, message,
     assert err.value.position == position
 
 
+def test_parse_unicode_names_and_digits():
+    f = parse_polynomial("\u03b1^2 - 3/2*\u03b2", ["\u03b1", "\u03b2"])
+    assert list(f.terms.items()) == [((2, 0), 1), ((0, 1), Fraction(-3, 2))]
+    # a numeral letter is not a letter; a superscript digit is not a
+    # decimal digit, so neither starts a token
+    for text, position in (("x + \u216b", 4), ("x^\u00b2", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, ["x"])
+        assert str(err.value) == "unexpected character %r (at position %d)" \
+            % (text[position], position)
+
+
 def test_parse_constant_needs_a_variable():
     with pytest.raises(ValueError, match="^need at least one variable$"):
         parse_polynomial("1", [])
