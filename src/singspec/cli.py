@@ -15,7 +15,7 @@ from .hodge import (epsilon_f, hodge_ideal_spectrum, monotonicity_scan,
 from .localalg import (milnor_algebra, set_truncation_start,
                        steenbrink_spectrum, tjurina_number)
 from .newton import convenientize, is_nondegenerate, newton_polyhedron
-from .polycore import Polynomial, parse_polynomial
+from .polycore import Polynomial, Spectrum, parse_polynomial
 
 STATEMENTS = ("thm1", "thm2", "thm3", "prop1", "prop2")
 
@@ -77,7 +77,11 @@ def _read_input(args):
     f = parse_polynomial(text, variables)
     hint = None
     if args.weights:
-        hint = [Fraction(w.strip()) for w in args.weights.split(",")]
+        try:
+            hint = [Fraction(w.strip()) for w in args.weights.split(",")]
+        except ZeroDivisionError:
+            raise UsageError("zero denominator in --weights %s"
+                             % args.weights) from None
         if len(hint) != len(variables):
             raise UsageError("got %d weights for %d variables"
                              % (len(hint), len(variables)))
@@ -107,6 +111,8 @@ def _jsonable(value, variables):
         return _rat(value)
     if isinstance(value, Polynomial):
         return value.to_string(variables)
+    if isinstance(value, Spectrum):
+        return _spectrum_json(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v, variables) for v in value]
     if isinstance(value, dict):
@@ -250,13 +256,10 @@ def _dispatch(args):
     elif verb == "scan-monotonicity":
         p = args.max_p if args.max_p is not None else 2
         violations = monotonicity_scan(f, hint, p)
-        if violations:
-            lines = ["violations: %d" % len(violations)]
-            for a, a_hi, g in violations:
-                lines.append("  alpha in (%s, %s] witness %s"
-                             % (a, a_hi, g.to_string(variables)))
-        else:
-            lines = ["violations: 0"]
+        lines = ["violations: %d" % len(violations)]
+        for a, a_hi, g in violations:
+            lines.append("  alpha in (%s, %s] witness %s"
+                         % (a, a_hi, g.to_string(variables)))
         payload = {"violations": [
             {"alpha_low": _rat(a), "alpha_high": _rat(a_hi),
              "witness": g.to_string(variables)}
@@ -272,11 +275,7 @@ def _dispatch(args):
         lines.append("epsilon_f: %s" % report["epsilon_f"])
         for name, check in report["checks"].items():
             lines.extend(_report_lines(name, check, variables))
-        payload = dict(report)
-        payload["spectrum"] = _spectrum_json(report["spectrum"])
-        payload["hi_spectrum"] = _spectrum_json(report["hi_spectrum"])
-        payload["tj_spectrum"] = _spectrum_json(report["tj_spectrum"])
-        payload = _jsonable(payload, variables)
+        payload = _jsonable(report, variables)
     else:
         raise UsageError("missing verb")
     if args.json:

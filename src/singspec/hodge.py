@@ -3,10 +3,6 @@ P(i, beta) = f d_i - beta f_i, the V_HI filtration on the Milnor
 algebra, the Hodge-ideal spectrum and Tjurina subspectrum, epsilon_f,
 and executable verdicts for the main statements about them.
 
-Every chain generator P(i, beta)G = f d_i G - beta f_i G lies in
-(f) + J for the Jacobian ideal J, so modulo (f) + J, V_HI is the
-monomial order filtration.
-
 All ideal spans are truncated; soundness of every pruning step rests on
 two facts: the Jacobian span contains m^{N-2}, and the monomial
 filtration level s satisfies TildeV^s = span of monomials of order >= s,
@@ -21,10 +17,10 @@ from math import ceil
 from .errors import ResourceCapError
 from .linalg import RowSpan
 from .localalg import (TruncatedSpace, filtered_quotient_dims,
-                       ideal_membership, milnor_algebra)
+                       ideal_membership, level_filtration, milnor_algebra)
 from .newton import gamma, order_of
-from .polycore import (Polynomial, Spectrum, add_scaled, deriv_terms,
-                       mul_terms, partial_derivative)
+from .polycore import (Polynomial, add_scaled, deriv_terms, mul_terms,
+                       partial_derivative)
 
 
 def _multiples_below(order, bound, n, max_deg, wcache):
@@ -52,10 +48,6 @@ def _multiples_below(order, bound, n, max_deg, wcache):
     return out
 
 
-def _monomials_by_order(space, order):
-    return sorted((order.monomial_order(m), m) for m in space.monomials)
-
-
 def _op_chain(fd, partials, n, seq, beta0, m, N, cache):
     """Truncated composite P(seq[k-1], beta0+k-1) o ... o P(seq[0],
     beta0) applied to x^m, as a raw term dict, with prefix reuse.  fd
@@ -75,17 +67,18 @@ def _op_chain(fd, partials, n, seq, beta0, m, N, cache):
     return G
 
 
-def _pruned_generators(f, alpha, p, order, space, prune_level, by_order,
+def _pruned_generators(f, alpha, p, order, space, prune_level, levels,
                        cache=None):
     """Operator-image generators of I_p(alpha Z): the k-fold composites
     start at parameter alpha + p - k, acting on monomials of order at
     least alpha + p - k (the level matching k derivatives applied to the
     twist by alpha + p - k).  Every element of order >= prune_level is
-    omitted (those lie in the monomial level span).  Yields (term dict,
-    mu) pairs standing for the truncated x^mu * G."""
+    omitted (those lie in the monomial level span).  levels is
+    space.by_order(order).  Yields (term dict, mu) pairs standing for
+    the truncated x^mu * G."""
     n = f.n
     drops = order.drops
-    vals = [val for val, m in by_order]
+    vals = [val for val, idx in levels]
     if cache is None:
         cache = {}
     fd = f.terms
@@ -97,12 +90,12 @@ def _pruned_generators(f, alpha, p, order, space, prune_level, by_order,
         for seq in product(range(1, n + 1), repeat=k):
             drop = sum(drops[i - 1] for i in seq)
             ceiling = prune_level - k + drop
-            for idx in range(bisect_left(vals, level), len(vals)):
-                val, m = by_order[idx]
+            for pos in range(bisect_left(vals, level), len(vals)):
+                val, idx = levels[pos]
                 if val >= ceiling:
                     break
-                G = _op_chain(fd, partials, n, seq, level, m, space.N,
-                              cache)
+                G = _op_chain(fd, partials, n, seq, level,
+                              space.monomials[idx], space.N, cache)
                 if not G:
                     continue
                 vG = min(order.monomial_order(e) for e in G)
@@ -133,9 +126,9 @@ def _pspan_space(f, alpha, p, order, ma):
                                    "within truncation bounds" % (alpha + p))
 
 
-def _ideal_pspan(f, alpha, p, order, modulo, ma):
-    """Truncated row span of I_p(alpha Z), optionally plus the Jacobian
-    ideal J.  Returns (space, span).
+def hodge_ideal_member(f, alpha, p, g, modulo="nothing", hint=None):
+    """Exact truncated membership of g in I_p(alpha Z), plus the
+    Jacobian ideal J when modulo is "jacobian".
 
     Modulo J the span lives on the record's space, degrees below ma.N,
     and starts from the record's span: the terms that truncation drops
@@ -143,122 +136,74 @@ def _ideal_pspan(f, alpha, p, order, modulo, ma):
     truncated membership in I + J is exact.  Only I_p(alpha Z) alone
     needs a space fat enough for its dropped terms to lie in the
     monomial level (_pspan_space)."""
-    if modulo == "nothing":
-        space = _pspan_space(f, alpha, p, order, ma)
-        span = RowSpan()
-    else:
-        space = ma.space
-        span = ma.span.copy()
-    by_order = _monomials_by_order(space, order)
-    level = alpha + p
-    for val, m in by_order:
-        if val >= level:
-            span.insert({space.index[m]: Fraction(1)})
-    for G, mu in _pruned_generators(f, alpha, p, order, space, level,
-                                    by_order):
-        span.insert(space.to_vector(G, mu))
-    return space, span
-
-
-def hodge_ideal_member(f, alpha, p, g, modulo="nothing", hint=None):
-    """Exact truncated membership of g in I_p(alpha Z), plus the
-    Jacobian ideal when modulo is "jacobian"."""
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
+    _check_index(p, "p")
     if modulo not in ("nothing", "jacobian"):
         raise ValueError("unknown modulo mode %r" % modulo)
     if g.is_zero():
         return True
     ma = milnor_algebra(f)
     order = ma.order(hint)
-    space, span = _ideal_pspan(f, alpha, p, order, modulo, ma)
+    if modulo == "nothing":
+        space = _pspan_space(f, alpha, p, order, ma)
+        span = RowSpan()
+    else:
+        space = ma.space
+        span = ma.span.copy()
+    levels = space.by_order(order)
+    level = alpha + p
+    for val, idx in levels:
+        if val >= level:
+            span.insert({idx: Fraction(1)})
+    for G, mu in _pruned_generators(f, alpha, p, order, space, level,
+                                    levels):
+        span.insert(space.to_vector(G, mu))
     return span.contains(space.to_vector(g.terms))
 
 
-class VHIFiltration:
-    """Subspace dimensions of V_HI on the Milnor algebra at the
-    candidate jump levels (sorted ascending); shared by every caller
-    through the germ record, so held in tuples."""
-
-    __slots__ = ("jumps", "subspace_dims")
-
-    def __init__(self, jumps, subspace_dims):
-        self.jumps = tuple(jumps)
-        self.subspace_dims = tuple(subspace_dims)
-
-    def dimension_at(self, beta):
-        return max((d for b, d in zip(self.jumps, self.subspace_dims)
-                    if b >= beta), default=0)
-
-    def graded_dims(self):
-        out = {}
-        prev = 0
-        for b, d in sorted(zip(self.jumps, self.subspace_dims),
-                           reverse=True):
-            if d > prev:
-                out[b] = d - prev
-                prev = d
-        return out
-
-
-def _candidate_alphas(space, order):
-    """1 and the fractional parts, taken in (0, 1], of the orders."""
-    return sorted({1 - (-order.monomial_order(m)) % 1
-                   for m in space.monomials} | {Fraction(1)})
-
-
-def v_hi_filtration(f, hint=None, p_max=None):
-    """Dimensions of V_HI^beta = sum of I_p(alpha Z) over alpha + p >=
-    beta, modulo the Jacobian ideal, at every candidate jump; kept on
-    the Milnor algebra of f."""
-    ma = milnor_algebra(f)
-    order = ma.order(hint)
-    if p_max is None:
-        p_max = f.n + 1
-    return ma.memo(("v_hi", order, p_max), _v_hi_pass, ma, order, p_max)
+def _check_index(p, name):
+    if not isinstance(p, int) or p < 0:
+        raise ValueError("%s must be an integer >= 0, got %r" % (name, p))
 
 
 def _v_hi_pass(ma, order, p_max):
-    """V_HI modulo J, one stage per candidate level in descending order,
-    ending at the stage that fills the quotient.  The operator-chain
-    cache ends with the pass."""
-    f = ma.f
+    """V_HI modulo J: the level walk on the Jacobian span, one stage per
+    candidate level s = alpha + p in descending order, each adding the
+    pruned chain generators of the I_p(alpha Z) with alpha + p = s.  The
+    operator-chain cache ends with the pass."""
     space = ma.space
-    span = ma.span.copy()
-    base_rank = span.rank()
-    by_order = _monomials_by_order(space, order)
-    desc = list(reversed(by_order))
-    alphas = _candidate_alphas(space, order)
+    levels = space.by_order(order)
+    # candidate alphas: 1 and the fractional parts, in (0, 1], of orders
+    alphas = {1 - (-v) % 1 for v, idx in levels} | {Fraction(1)}
     stages = sorted({a + p for a in alphas for p in range(p_max + 1)},
                     reverse=True)
-    frontier = 0
     cache = {}
-    jumps, dims = [], []
-    for s in stages:
-        while frontier < len(desc) and desc[frontier][0] >= s:
-            span.insert({space.index[desc[frontier][1]]: Fraction(1)})
-            frontier += 1
+
+    def chains(s):
         for p in range(p_max + 1):
-            a = s - p
-            if 0 < a <= 1:
-                for G, mu in _pruned_generators(f, a, p, order, space, s,
-                                                by_order, cache):
-                    span.insert(space.to_vector(G, mu))
-        jumps.append(s)
-        dims.append(span.rank() - base_rank)
-        if dims[-1] == space.dimension - base_rank:
-            break
-    return VHIFiltration(jumps[::-1], dims[::-1])
+            if 0 < s - p <= 1:
+                for G, mu in _pruned_generators(ma.f, s - p, p, order, space,
+                                                s, levels, cache):
+                    yield space.to_vector(G, mu)
+
+    return level_filtration(ma, order, ma.span, stages, chains)
 
 
 def hodge_ideal_spectrum(f, hint=None, p_max=None):
-    """Exponent multiset of the V_HI filtration on the Milnor algebra."""
-    sp = Spectrum(f.n, v_hi_filtration(f, hint, p_max).graded_dims())
-    mu = milnor_algebra(f).mu
-    if sp.total() != mu:
+    """Exponent multiset of V_HI^beta = sum of I_p(alpha Z) over
+    alpha + p >= beta, p <= p_max, on the Milnor algebra; kept on the
+    record of f."""
+    if p_max is None:
+        p_max = f.n + 1
+    _check_index(p_max, "p_max")
+    ma = milnor_algebra(f)
+    order = ma.order(hint)
+    sp = ma.memo(("v_hi", order, p_max), _v_hi_pass, ma, order, p_max)
+    if sp.total() != ma.mu:
         raise AssertionError("V_HI spectrum totals %d, expected mu = %d"
-                             % (sp.total(), mu))
+                             % (sp.total(), ma.mu))
     return sp
 
 
@@ -269,7 +214,7 @@ def tjurina_subspectrum(f, hint=None):
     the terms that truncation drops have degree >= N, in m^N inside J,
     so modulo (f) + J only the monomial levels remain."""
     order = milnor_algebra(f).order(hint)
-    return filtered_quotient_dims(f, order, True).to_spectrum(f.n)
+    return filtered_quotient_dims(f, order, True)
 
 
 def _spectrum_difference(big, small):
@@ -294,17 +239,14 @@ def epsilon_f(f, hint=None):
 def _epsilon(ma, order, sp):
     f = ma.f
     span2 = ma.span.copy()
-    for m in ma.space.monomials:
+    for idx, m in enumerate(ma.space.monomials):
         if sum(m) >= 2:
-            span2.insert({ma.space.index[m]: Fraction(1)})
-    candidates = [Polynomial.constant(f.n, 1)]
-    for i in range(f.n):
-        expo = [0] * f.n
-        expo[i] = 1
-        candidates.append(Polynomial.monomial(f.n, expo))
-    outside = [g for g in candidates
-               if not span2.contains(ma.space.to_vector(g.terms))]
-    gamma_quot = max(order_of(order, g) for g in outside)
+            span2.insert({idx: Fraction(1)})
+    # the highest order among the classes of 1, x_1, ..., x_n (the first
+    # columns) outside m^2 + J
+    gamma_quot = max(order.monomial_order(m) for idx, m
+                     in enumerate(ma.space.monomials[:f.n + 1])
+                     if not span2.contains({idx: Fraction(1)}))
     if f.order() >= 3:
         gamma_ord = gamma(order, Polynomial.constant(f.n, 1))
         if gamma_ord != gamma_quot:
@@ -334,14 +276,12 @@ def theorem1_check(f, hint=None):
     sp = ma.spectrum(hint)
     alpha_max = sp.max_exponent()
     report["alpha_max"] = alpha_max
-    span_v = ma.span.copy()
-    top_dim = 0
-    for m in ma.space.monomials:
-        if order.monomial_order(m) >= alpha_max:
-            if span_v.insert({ma.space.index[m]: Fraction(1)}):
-                top_dim += 1
-    f_in_top = span_v.contains(ma.space.to_vector(f.terms))
-    f_nonzero = not ma.span.contains(ma.space.to_vector(f.terms))
+    # f lies in the top level exactly when adding it does not grow it
+    fvec = ma.space.to_vector(f.terms)
+    top_dim = level_filtration(ma, order, ma.span, [alpha_max]).total()
+    f_in_top = level_filtration(ma, order, ma.span, [alpha_max],
+                                lambda s: [fvec]).total() == top_dim
+    f_nonzero = not ma.span.contains(fvec)
     hyp = (tau == ma.mu - 1 and top_dim == 1 and f_in_top and f_nonzero)
     report["hypothesis_f_spans_top"] = hyp
     if not hyp:
@@ -520,53 +460,34 @@ def monotonicity_scan(f, hint=None, p=2):
     x^9 + y^10 + z^11 + (x + y) x^3 y^3 z^3 and p = 2, the classes
     taken on (254/495, 173/330] lose rank only at alpha = 0 and
     alpha = 1/1485."""
+    _check_index(p, "p")
     ma = milnor_algebra(f)
     order = ma.order(hint)
     space = ma.space
-    fd = filtered_quotient_dims(f, order, False)
-    cum = []
-    running = 0
-    for b, d in sorted(fd.jumps.items(), reverse=True):
-        running += d
-        cum.append((b, running))
-
-    def v_dim(beta):
-        return max((d for b, d in cum if b >= beta), default=0)
-
-    by_order = _monomials_by_order(space, order)
-    jump_vals = sorted({val for val, m in by_order if 0 < val <= 1}
+    spectrum = filtered_quotient_dims(f, order, False)
+    levels = space.by_order(order)
+    jump_vals = sorted({val for val, idx in levels if 0 < val <= 1}
                        | {Fraction(1)})
-    points = []
-    for i, a in enumerate(jump_vals):
-        if i > 0:
-            points.append((jump_vals[i - 1] + a) / 2)
-        points.append(a)
-    points.sort(reverse=True)
-
-    # normal forms over the Milnor basis, read off the reduced rows
-    nf_cache = {}
+    points = sorted(set(jump_vals) | {(a + b) / 2 for a, b
+                                      in zip(jump_vals, jump_vals[1:])},
+                    reverse=True)
+    nf_cache = {}  # normal forms of monomials over the Milnor basis
 
     def nf(idx):
-        vec = nf_cache.get(idx)
-        if vec is None:
-            row = ma.span.rows.get(idx)
-            if row is None:
-                vec = {idx: Fraction(1)}
-            else:
-                vec = {c: -v for c, v in row.items() if c != idx}
-            nf_cache[idx] = vec
-        return vec
+        if idx not in nf_cache:
+            nf_cache[idx] = ma.span.reduce({idx: Fraction(1)})
+        return nf_cache[idx]
 
     ws = RowSpan()  # span of monomial classes of order >= current level
-    desc = list(reversed(by_order))
+    desc = levels[::-1]
     frontier = 0
 
     def advance(level):
         nonlocal frontier
-        want = v_dim(level)
+        want = sum(d for b, d in spectrum.entries.items() if b >= level)
         while frontier < len(desc) and desc[frontier][0] >= level:
             if ws.rank() < want:
-                ws.insert(dict(nf(space.index[desc[frontier][1]])))
+                ws.insert(dict(nf(desc[frontier][1])))
             frontier += 1
 
     def survivors(a):
@@ -576,7 +497,7 @@ def monotonicity_scan(f, hint=None, p=2):
         out = []
         level = a + p
         for G, mu in _pruned_generators(f, a, p, order, space, level,
-                                        by_order):
+                                        levels):
             vec = {}
             for expo, c in G.items():
                 shifted = tuple(e + m for e, m in zip(expo, mu))

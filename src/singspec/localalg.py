@@ -1,7 +1,7 @@
 """Truncated local-algebra engine: Milnor and Tjurina algebras by exact
-linear algebra modulo a power of the maximal ideal, filtered quotient
-dimensions, the choice of filtration order, and Steenbrink spectrum
-extraction.  The cached MilnorAlgebra of f is the one record of the
+linear algebra modulo a power of the maximal ideal, the one level walk
+that every filtration spectrum comes from, the choice of filtration
+order, and Steenbrink spectrum extraction.  The cached MilnorAlgebra of f is the one record of the
 germ: every invariant of f is computed once and kept on it.
 
 The truncation degree N is grown until the truncated Jacobian span
@@ -39,7 +39,7 @@ def set_truncation_start(N):
 class TruncatedSpace:
     """All monomials of total degree < N, in degree-ascending order."""
 
-    __slots__ = ("n", "N", "monomials", "index")
+    __slots__ = ("n", "N", "monomials", "index", "_levels")
 
     def __init__(self, n, N):
         mons = []
@@ -57,6 +57,7 @@ class TruncatedSpace:
         object.__setattr__(self, "monomials", tuple(mons))
         object.__setattr__(self, "index",
                            {m: i for i, m in enumerate(mons)})
+        object.__setattr__(self, "_levels", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSpace is immutable")
@@ -83,6 +84,17 @@ class TruncatedSpace:
     def from_vector(self, vec):
         return Polynomial(self.n, {self.monomials[i]: c
                                    for i, c in vec.items()})
+
+    def by_order(self, order):
+        """(order.monomial_order, column) pairs of every column, ascending
+        by order, then by exponent; kept per order, read-only."""
+        if order not in self._levels:
+            groups = {}
+            for m in sorted(self.monomials):
+                groups.setdefault(order.monomial_order(m), []).append(m)
+            self._levels[order] = [(v, self.index[m]) for v in sorted(groups)
+                                   for m in groups[v]]
+        return self._levels[order]
 
 
 def _insert_multiples(span, space, g, low=0):
@@ -131,8 +143,9 @@ def _contains_power(space, span, k):
 class MilnorAlgebra:
     """Milnor algebra of f, and the record of everything else computed
     for f: Tjurina span, non-degeneracy verdict, and per weight hint the
-    order, the spectrum and (from hodge) the V_HI filtration, each
-    computed on first use and kept while milnor_algebra keeps this."""
+    order, the spectrum, the order filtration spectra and (from hodge)
+    the V_HI spectrum, each computed on first use and kept while
+    milnor_algebra keeps this."""
 
     __slots__ = ("f", "N", "space", "span", "mu", "basis_monomials",
                  "_memo")
@@ -211,8 +224,7 @@ class MilnorAlgebra:
 
     def _spectrum(self, order):
         if order.kind == "newton":
-            dims = filtered_quotient_dims(self.f, order, False)
-            return dims.to_spectrum(self.f.n)
+            return filtered_quotient_dims(self.f, order, False)
         sp = spectrum_product_formula(order.weights)
         if self.verdict.status == "yes" and self.spectrum() != sp:
             raise AssertionError(
@@ -241,6 +253,12 @@ def milnor_algebra(f):
     grows by 4 while this fails; failure by N = %d means the singularity
     is not isolated, and a larger starting degree raises
     ResourceCapError.""" % N_MAX
+    return _certified_algebra(f, N_MAX)
+
+
+def _certified_algebra(f, give_up):
+    """The build of milnor_algebra, uncached; it also gives up, with
+    NonIsolatedError, once the certificate fails at some N >= give_up."""
     _validate_input(f)
     N = max(2 * f.degree(), f.n + 2)
     if _N_START is not None:
@@ -252,9 +270,11 @@ def milnor_algebra(f):
         space, span = jacobian_span(f, N)
         if _contains_power(space, span, N - 2):
             return MilnorAlgebra(f, N, space, span)
+        if N >= give_up:
+            break
         N += 4
     raise NonIsolatedError("Jacobian span does not contain m^(N-2) by "
-                           "truncation degree %d" % N_MAX)
+                           "truncation degree %d" % min(N, N_MAX))
 
 
 def tjurina_number(f):
@@ -278,45 +298,43 @@ def ideal_membership(f, g, include_f):
     return span.contains(ma.space.to_vector(g.terms))
 
 
-class FilteredDims:
-    """Jump exponents of a quotient filtration with Gr dimensions."""
-
-    __slots__ = ("jumps",)
-
-    def __init__(self, jumps):
-        self.jumps = {Fraction(b): int(d) for b, d in jumps.items() if d}
-
-    def total(self):
-        return sum(self.jumps.values())
-
-    def sorted_items(self):
-        return sorted(self.jumps.items())
-
-    def to_spectrum(self, n):
-        return Spectrum(n, self.jumps)
+def level_filtration(ma, order, span, stages=None, extra=None):
+    """Spectrum of a descending filtration on the quotient of ma's
+    truncated space by span: at each stage s, in descending order, the
+    monomials of order >= s and then the vectors extra(s) yields are
+    inserted into a copy of span, and the rank growth is the
+    multiplicity of s.  The stages default to the distinct monomial
+    orders; the walk ends once the quotient is full.  Columns that span
+    already holds as unit rows are skipped."""
+    span = span.copy()
+    desc = [(v, idx) for v, idx in reversed(ma.space.by_order(order))
+            if len(span.rows.get(idx, ())) != 1]
+    if stages is None:
+        stages = sorted({v for v, idx in desc}, reverse=True)
+    jumps = {}
+    rank = span.rank()
+    k = 0
+    for s in stages:
+        while k < len(desc) and desc[k][0] >= s:
+            span.insert({desc[k][1]: Fraction(1)})
+            k += 1
+        if extra is not None:
+            for vec in extra(s):
+                span.insert(vec)
+        jumps[s] = span.rank() - rank
+        rank = span.rank()
+        if rank == ma.space.dimension:
+            break
+    return Spectrum(ma.f.n, jumps)
 
 
 def filtered_quotient_dims(f, order, include_f):
-    """Gr dimensions of the monomial-order filtration on the Milnor
-    (or Tjurina) algebra: insert monomial classes in descending order
-    and count rank jumps."""
+    """Spectrum of the monomial order filtration on the Milnor (or
+    Tjurina) algebra, kept on the record."""
     ma = milnor_algebra(f)
-    span = (ma.tjurina_span if include_f else ma.span).copy()
-    pivots = span.pivot_columns()
-    groups = {}
-    for idx, m in enumerate(ma.space.monomials):
-        if idx in pivots and len(span.rows[idx]) == 1:
-            continue
-        groups.setdefault(order.monomial_order(m), []).append(idx)
-    jumps = {}
-    for beta in sorted(groups, reverse=True):
-        grew = 0
-        for idx in groups[beta]:
-            if span.insert({idx: Fraction(1)}):
-                grew += 1
-        if grew:
-            jumps[beta] = grew
-    return FilteredDims(jumps)
+    span = ma.tjurina_span if include_f else ma.span
+    return ma.memo(("levels", order, include_f), level_filtration, ma,
+                   order, span)
 
 
 def condition_a_order(f, hint=None):

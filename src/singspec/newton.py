@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .errors import DegenerateError, ResourceCapError
+from .errors import DegenerateError, NonIsolatedError, ResourceCapError
 from .linalg import nullspace, rank, saturated_lattice_basis, solve
 from .polycore import Polynomial, add_scaled
 
@@ -592,7 +592,17 @@ class SwhStructure:
 
 def swh_structure(f, w):
     """Split f = f1 + f_{>1} by weighted degree and decide whether f is
-    semi-weighted-homogeneous for the weights w."""
+    semi-weighted-homogeneous for the weights w: no terms below weight
+    one, and an isolated weight-one part f1.
+
+    The isolation test is bounded.  If the weighted homogeneous f1 is
+    isolated, its Milnor algebra is graded with top weighted degree
+    s = sum(1 - 2 w_i), so J(f1) holds every monomial of weighted degree
+    above s; total degree d gives weighted degree >= d min w, so m^k lies
+    in J(f1) for k = floor(s / min w) + 1.  The truncated span at degree
+    N is (J(f1) + m^N)/m^N, so the certificate m^{N-2} holds at every
+    N >= k + 2.  A failure at such N proves that f1 is not isolated, and
+    the build stops there; an isolated f1 is certified at the same N."""
     ws = tuple(Fraction(x) for x in w)
     if len(ws) != f.n:
         raise ValueError("weight count mismatch")
@@ -612,9 +622,12 @@ def swh_structure(f, w):
     if below or f1.is_zero():
         return SwhStructure(f1, f_gt1, False, sorted(below))
     from . import localalg
-    milnor = localalg.milnor_algebra
     try:  # cached only when f1 is f: the one record is f's
-        (milnor if f1 == f else milnor.__wrapped__)(f1)
-    except Exception:
+        if f1 == f:
+            localalg.milnor_algebra(f)
+        else:
+            localalg._certified_algebra(
+                f1, sum(1 - 2 * wi for wi in ws) // min(ws) + 3)
+    except NonIsolatedError:
         return SwhStructure(f1, f_gt1, False, [])
     return SwhStructure(f1, f_gt1, True, [])

@@ -284,6 +284,8 @@ class _Parser:
         self.n = n = len(variables)
         self.units = {name: tuple(int(j == i) for j in range(n))
                       for i, name in enumerate(variables)}
+        if len(self.units) != n:
+            raise ValueError("duplicate variable name in %s" % variables)
 
     def peek(self):
         return self.tokens[self.pos]

@@ -241,8 +241,7 @@ def test_criterion_06_weighted_homogeneous_equivalence():
             except UnsupportedError:
                 pass
         product = spectrum_product_formula(w)
-        graded = filtered_quotient_dims(f, weight_order(w),
-                                        False).to_spectrum(2)
+        graded = filtered_quotient_dims(f, weight_order(w), False)
         assert graded == product
         assert steenbrink_spectrum(f, hint=w) == product
         assert hodge_ideal_spectrum(f, hint=w) == product
@@ -253,8 +252,7 @@ def test_criterion_06_weighted_homogeneous_equivalence():
         f = poly("x^%d + y^%d + z^%d" % (a, b, c), "xyz")
         w = (Fraction(1, a), Fraction(1, b), Fraction(1, c))
         product = spectrum_product_formula(w)
-        graded = filtered_quotient_dims(f, weight_order(w),
-                                        False).to_spectrum(3)
+        graded = filtered_quotient_dims(f, weight_order(w), False)
         assert graded == product
         assert steenbrink_spectrum(f, hint=w) == product
         assert hodge_ideal_spectrum(f, hint=w) == product
@@ -318,7 +316,7 @@ def test_criterion_09_polyhedron_properties():
     # the order-filtration spectrum of the non-convenient input equals
     # the spectrum of its convenientized version
     graded = filtered_quotient_dims(
-        f, newton_filtration(newton_polyhedron(f)), False).to_spectrum(2)
+        f, newton_filtration(newton_polyhedron(f)), False)
     assert graded == steenbrink_spectrum(builder(1))
     assert graded == spectrum_product_formula((Fraction(1, 4),
                                                Fraction(1, 4)))

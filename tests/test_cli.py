@@ -163,6 +163,22 @@ def test_usage_errors_exit_1(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("hi-spectrum", "x^5 + y^4", "--max-p", "-1"),
+    ("report", "x^5 + y^4", "--max-p", "-1"),
+    ("scan-monotonicity", "x^5 + y^4", "--max-p", "-1"),
+    ("milnor", "x^5 + y^4", "--weights", "1/0,1/4"),
+    ("spectrum", "x^5 + y^4", "--weights", "1/5,1/0"),
+    ("milnor", "x^5 + y^4", "--vars", "x,y,x"),
+])
+def test_input_errors_exit_1_without_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_unsupported_exit_2(capsys):
     code, _, err = run(capsys, "milnor", "x^2*y^2")
     assert code == 2

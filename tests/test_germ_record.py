@@ -71,7 +71,17 @@ def test_report_computes_each_invariant_once(fresh_cache, monkeypatch,
         return pruned_generators(f, alpha, p, order, space, prune_level,
                                  *rest)
 
+    tjurina_walks = Counter()
+    level_filtration = localalg.level_filtration
+
+    def walk(ma, order, span, *rest):
+        if span is ma.tjurina_span:
+            tjurina_walks[order] += 1
+        return level_filtration(ma, order, span, *rest)
+
     monkeypatch.setattr(hodge, "_pruned_generators", pruned)
+    for module in (localalg, hodge):
+        monkeypatch.setattr(module, "level_filtration", walk)
     for name in ("newton_polyhedron", "_buchberger_trivial"):
         monkeypatch.setattr(newton, name,
                             counting(name, getattr(newton, name)))
@@ -79,10 +89,12 @@ def test_report_computes_each_invariant_once(fresh_cache, monkeypatch,
     assert calls["newton_polyhedron"] <= 1
     assert calls["_buchberger_trivial"] <= 1
     assert stages and max(stages.values()) == 1
+    assert list(tjurina_walks.values()) == [1]
     calls.clear()
     stages.clear()
+    tjurina_walks.clear()
     assert report_json(capsys, *route) == first
-    assert not calls and not stages
+    assert not calls and not stages and not tjurina_walks
 
 
 def test_weighted_report_keeps_one_record(fresh_cache, monkeypatch,

@@ -12,9 +12,9 @@ from singspec.hodge import (_op_chain, epsilon_f, hodge_ideal_member,
                             hodge_ideal_spectrum, monotonicity_scan,
                             prop1_check, prop2_witness,
                             theorem1_check, theorem2_check, theorem3_witness,
-                            tjurina_subspectrum, v_hi_filtration)
+                            tjurina_subspectrum)
 from singspec.localalg import milnor_algebra, steenbrink_spectrum
-from singspec.polycore import (Polynomial, Spectrum, op_P_tilde,
+from singspec.polycore import (Polynomial, op_P_tilde,
                                parse_polynomial, partial_derivative)
 
 
@@ -41,6 +41,24 @@ def test_membership_rejects_bad_alpha():
         hodge_ideal_member(f, 0, 1, poly("x"))
     with pytest.raises(ValueError):
         hodge_ideal_member(f, 2, 1, poly("x"))
+
+
+@pytest.mark.parametrize("p", [-1, Fraction(1, 2), "1"])
+def test_hodge_index_must_be_a_natural_number(p):
+    f = poly("x^5 + y^4")
+    with pytest.raises(ValueError, match="p must be an integer >= 0"):
+        hodge_ideal_member(f, Fraction(1, 2), p, poly("1"))
+    with pytest.raises(ValueError, match="p_max must be an integer >= 0"):
+        hodge_ideal_spectrum(f, p_max=p)
+    with pytest.raises(ValueError, match="p must be an integer >= 0"):
+        monotonicity_scan(f, p=p)
+
+
+def test_hodge_index_zero_is_allowed():
+    f = poly("x^5 + y^4")
+    assert hodge_ideal_member(f, Fraction(1, 2), 0, poly("x"))
+    assert hodge_ideal_spectrum(f, p_max=0).total() == 12
+    assert monotonicity_scan(f, p=0) == []
 
 
 @pytest.mark.parametrize("modulo", ["bogus", "jacobian_and_f"])
@@ -84,23 +102,26 @@ def test_hi_spectrum_fixture():
     assert sp.max_exponent() == Fraction(31, 20)
 
 
+def dimension_at(sp, beta):
+    """Dimension of the filtration step at beta: the exponents >= beta."""
+    return sum(m for a, m in sp.entries.items() if a >= beta)
+
+
 def test_vhi_filtration_dims_monotone():
-    vhi = v_hi_filtration(poly(F54))
-    dims = [vhi.dimension_at(b) for b in sorted(vhi.jumps)]
-    assert dims == sorted(dims, reverse=True) or \
-        dims == sorted(dims)  # ascending jump order, descending dims
-    assert max(vhi.subspace_dims) == 12
+    hi = hodge_ideal_spectrum(poly(F54))
+    dims = [dimension_at(hi, b) for b in sorted(hi.entries)]
+    assert dims == sorted(dims, reverse=True)  # ascending beta
+    assert max(dims) == 12
 
 
 def pmax_probe(f, hint=None, p_max=None):
-    """True if raising the p cutoff by one leaves every V_HI dimension
-    unchanged; the cutoff at n+1 is a working hypothesis, not a theorem."""
+    """True if raising the p cutoff by one leaves the whole V_HI
+    filtration unchanged; the cutoff at n+1 is a working hypothesis,
+    not a theorem."""
     if p_max is None:
         p_max = f.n + 1
-    lo = v_hi_filtration(f, hint, p_max)
-    hi = v_hi_filtration(f, hint, p_max + 1)
-    levels = set(lo.jumps) | set(hi.jumps)
-    return all(lo.dimension_at(b) == hi.dimension_at(b) for b in levels)
+    return hodge_ideal_spectrum(f, hint, p_max) \
+        == hodge_ideal_spectrum(f, hint, p_max + 1)
 
 
 def test_pmax_probe_stable():
@@ -250,14 +271,15 @@ def test_scan_violations_match_membership_reference(monkeypatch, text):
     violations = monotonicity_scan(f, p=p)
     ma = milnor_algebra(f)
     order = ma.order()
-    by_order = hodge._monomials_by_order(ma.space, order)
-    jumps = sorted({v for v, m in by_order if 0 < v <= 1} | {Fraction(1)})
+    jumps = sorted({v for v in map(order.monomial_order, ma.space.monomials)
+                    if 0 < v <= 1} | {Fraction(1)})
     points = sorted(set(jumps)
                     | {(a + b) / 2 for a, b in zip(jumps, jumps[1:])})
     reference = []
     for a, a_hi in zip(points, points[1:]):
         for G, mu in hodge._pruned_generators(f, a_hi, p, order, ma.space,
-                                              a_hi + p, by_order):
+                                              a_hi + p,
+                                              ma.space.by_order(order)):
             g = (Polynomial(2, G) * Polynomial.monomial(2, mu)) \
                 .truncate(ma.space.N)
             if not hodge_ideal_member(f, a, p, g, "jacobian"):
@@ -274,42 +296,53 @@ def reference_vhi(f, hint, start):
     """V_HI generated in full: stage by stage, the monomial level and
     every pruned generator are inserted into a copy of the span start
     (the Jacobian span, or the Jacobian span plus f), and only a full
-    quotient ends the pass."""
+    quotient ends the pass.  Returns (stage, dimension) pairs."""
     ma = milnor_algebra(f)
     order = ma.order(hint)
     space = ma.space
     span = start.copy()
     base = span.rank()
-    by_order = hodge._monomials_by_order(space, order)
+    by_order = sorted((order.monomial_order(m), m) for m in space.monomials)
     desc = list(reversed(by_order))
     p_max = f.n + 1
-    stages = sorted({a + p for a in hodge._candidate_alphas(space, order)
-                     for p in range(p_max + 1)}, reverse=True)
+    alphas = {1 - (-v) % 1 for v, m in by_order} | {Fraction(1)}
+    stages = sorted({a + p for a in alphas for p in range(p_max + 1)},
+                    reverse=True)
     frontier = 0
-    jumps, dims = [], []
+    dims = []
     for s in stages:
         while frontier < len(desc) and desc[frontier][0] >= s:
             span.insert({space.index[desc[frontier][1]]: Fraction(1)})
             frontier += 1
         for p in range(p_max + 1):
             if 0 < s - p <= 1:
-                for G, mu in hodge._pruned_generators(f, s - p, p, order,
-                                                      space, s, by_order):
+                for G, mu in hodge._pruned_generators(
+                        f, s - p, p, order, space, s,
+                        space.by_order(order)):
                     span.insert(space.to_vector(G, mu))
-        jumps.append(s)
-        dims.append(span.rank() - base)
-        if dims[-1] == space.dimension - base:
+        dims.append((s, span.rank() - base))
+        if dims[-1][1] == space.dimension - base:
             break
-    return hodge.VHIFiltration(jumps[::-1], dims[::-1])
+    return dims
+
+
+def assert_matches_reference(sp, reference):
+    """The spectrum's dimension equals the reference's at every stage the
+    reference visits, its exponents are visited stages, and its total is
+    the reference's last dimension."""
+    assert all(dimension_at(sp, s) == d for s, d in reference)
+    assert set(sp.entries) <= {s for s, d in reference}
+    assert sp.total() == reference[-1][1]
 
 
 def assert_vhi_matches_reference(f, hint):
     ma = milnor_algebra(f)
     jac = reference_vhi(f, hint, ma.span)
-    vhi = v_hi_filtration(f, hint=hint)
-    assert (vhi.jumps, vhi.subspace_dims) == (jac.jumps, jac.subspace_dims)
+    assert jac[-1][1] == ma.mu
+    assert_matches_reference(hodge_ideal_spectrum(f, hint), jac)
     tj = reference_vhi(f, hint, ma.tjurina_span)
-    assert tjurina_subspectrum(f, hint) == Spectrum(f.n, tj.graded_dims())
+    assert tj[-1][1] == ma.tau
+    assert_matches_reference(tjurina_subspectrum(f, hint), tj)
 
 
 @pytest.mark.parametrize("text,variables,hint", [

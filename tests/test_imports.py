@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in it."""
+"""Every name a module of the package imports is used in it, and every
+private module-level name is used somewhere in the package."""
 
 import ast
 import pathlib
@@ -19,3 +20,36 @@ def test_every_imported_name_is_referenced(path):
                 imported.add(alias.asname or alias.name.split(".")[0])
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_name_is_referenced():
+    """A private module-level name that nothing in the package reads is
+    a leftover."""
+    defined = {}
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for name in _private_definitions(tree):
+            defined[name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert sorted("%s in %s" % (name, module) for name, module
+                  in defined.items() if name not in used) == []

@@ -83,7 +83,7 @@ def test_filtered_dims_total_is_mu():
     order = weight_order([Fraction(1, 5), Fraction(1, 4)])
     fd = filtered_quotient_dims(f, order, False)
     assert fd.total() == 12
-    assert fd.to_spectrum(2).sorted_items()[0] == (Fraction(9, 20), 1)
+    assert fd.sorted_items()[0] == (Fraction(9, 20), 1)
 
 
 def test_filtered_dims_tjurina_variant():

@@ -1,5 +1,6 @@
 """Newton polyhedra, filtration orders, non-degeneracy, convenientizing."""
 
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -147,6 +148,19 @@ def test_swh_structure_split():
     assert st_.is_swh
     assert st_.f1.terms == {(9, 0, 0): 1, (0, 10, 0): 1, (0, 0, 11): 1}
     assert (4, 3, 3) in st_.f_gt1.terms
+
+
+def test_swh_structure_bounds_the_isolation_test():
+    # f1 = x^5 + x^2*y^2 + z^2 is singular along the y axis; its Milnor
+    # algebra would climb to the truncation cap, while a failed
+    # certificate at N >= floor(s / min w) + 3 = 8 already proves it
+    w = make_weights([Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)])
+    f = parse_polynomial("x^5 + y^7 + x^2*y^2 + z^2", ["x", "y", "z"])
+    start = time.monotonic()
+    st_ = swh_structure(f, w)
+    assert not st_.is_swh
+    assert st_.below_weight_one == []
+    assert time.monotonic() - start < 10
 
 
 def test_swh_structure_rejects_low_terms():

@@ -72,6 +72,11 @@ def test_parse_unicode_names_and_digits():
             % (text[position], position)
 
 
+def test_parse_rejects_duplicate_variables():
+    with pytest.raises(ValueError, match="duplicate variable name"):
+        parse_polynomial("x^2 + y^2", ["x", "y", "x"])
+
+
 def test_parse_constant_needs_a_variable():
     with pytest.raises(ValueError, match="^need at least one variable$"):
         parse_polynomial("1", [])
