@@ -39,7 +39,7 @@ def set_truncation_start(N):
 class TruncatedSpace:
     """All monomials of total degree < N, in degree-ascending order."""
 
-    __slots__ = ("n", "N", "monomials", "index", "_levels")
+    __slots__ = ("n", "N", "monomials", "index")
 
     def __init__(self, n, N):
         mons = []
@@ -57,7 +57,6 @@ class TruncatedSpace:
         object.__setattr__(self, "monomials", tuple(mons))
         object.__setattr__(self, "index",
                            {m: i for i, m in enumerate(mons)})
-        object.__setattr__(self, "_levels", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSpace is immutable")
@@ -87,14 +86,11 @@ class TruncatedSpace:
 
     def by_order(self, order):
         """(order.monomial_order, column) pairs of every column, ascending
-        by order, then by exponent; kept per order, read-only."""
-        if order not in self._levels:
-            groups = {}
-            for m in sorted(self.monomials):
-                groups.setdefault(order.monomial_order(m), []).append(m)
-            self._levels[order] = [(v, self.index[m]) for v in sorted(groups)
-                                   for m in groups[v]]
-        return self._levels[order]
+        by order, then by exponent."""
+        groups = {}
+        for m in sorted(self.monomials):
+            groups.setdefault(order.monomial_order(m), []).append(m)
+        return [(v, self.index[m]) for v in sorted(groups) for m in groups[v]]
 
 
 def _insert_multiples(span, space, g, low=0):
@@ -307,16 +303,20 @@ def level_filtration(ma, order, span, stages=None, extra=None):
     orders; the walk ends once the quotient is full.  Columns that span
     already holds as unit rows are skipped."""
     span = span.copy()
-    desc = [(v, idx) for v, idx in reversed(ma.space.by_order(order))
-            if len(span.rows.get(idx, ())) != 1]
+    groups = {}
+    for idx, m in enumerate(ma.space.monomials):
+        if len(span.rows.get(idx, ())) != 1:
+            groups.setdefault(order.monomial_order(m), []).append(idx)
+    levels = sorted(groups, reverse=True)
     if stages is None:
-        stages = sorted({v for v, idx in desc}, reverse=True)
+        stages = levels
     jumps = {}
     rank = span.rank()
     k = 0
     for s in stages:
-        while k < len(desc) and desc[k][0] >= s:
-            span.insert({desc[k][1]: Fraction(1)})
+        while k < len(levels) and levels[k] >= s:
+            for idx in groups[levels[k]]:
+                span.insert({idx: Fraction(1)})
             k += 1
         if extra is not None:
             for vec in extra(s):

@@ -30,7 +30,8 @@ order >= 2 along the x_l axis: the other pure powers have exponent
 axis is singular for f1, f1 is not isolated, and f is not
 semi-weighted-homogeneous for the facet's weights.  With i = 1 or
 j = 1 in two variables this fails: x^a + c x y^j is isolated, and the
-germ is semi-weighted-homogeneous for that facet.
+germ is semi-weighted-homogeneous for that facet.  The test also asks
+swh_structure for every facet's weights and for the weights 1/a_l.
 """
 
 from fractions import Fraction
@@ -40,15 +41,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from singspec.localalg import milnor_algebra, steenbrink_spectrum
-from singspec.newton import is_nondegenerate
+from singspec.newton import is_nondegenerate, swh_structure
 from singspec.polycore import Polynomial, spectrum_symmetry_check
 
 coefficients = st.fractions(min_value=-3, max_value=3,
                             max_denominator=4).filter(bool)
 
 
-def assert_matches_oracle(f, mu):
-    assert is_nondegenerate(f).status == "yes"
+def assert_matches_oracle(f, mu, pure_powers):
+    verdict = is_nondegenerate(f)
+    assert verdict.status == "yes"
+    # the Newton route is the only one (module docstring)
+    facets = verdict.polyhedron.scaling_facets()
+    assert len(facets) == f.n
+    for w in [fc.coeffs for fc in facets] + [
+            [Fraction(1, a) for a in pure_powers]]:
+        assert not swh_structure(f, w).is_swh
     ma = milnor_algebra(f)
     assert ma.mu == mu
     assert ma.tau <= mu
@@ -78,7 +86,7 @@ def below_the_simplex(draw, exponents, low):
 def test_kouchnirenko_two_variables(exps, c):
     (a, b), (i, j) = exps
     f = Polynomial(2, {(a, 0): 1, (0, b): 1, (i, j): c})
-    assert_matches_oracle(f, a * j + b * i - a - b + 1)
+    assert_matches_oracle(f, a * j + b * i - a - b + 1, (a, b))
 
 
 @given(below_the_simplex(range(4, 7), (1, 1, 1)), coefficients)
@@ -89,4 +97,4 @@ def test_kouchnirenko_three_variables(exps, coeff):
                        (i, j, k): coeff})
     mu = a * b * k + b * c * i + a * c * j - (a * b + b * c + c * a) \
         + (a + b + c) - 1
-    assert_matches_oracle(f, mu)
+    assert_matches_oracle(f, mu, (a, b, c))
