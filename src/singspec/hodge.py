@@ -242,11 +242,11 @@ def _epsilon(ma, order, sp):
     for idx, m in enumerate(ma.space.monomials):
         if sum(m) >= 2:
             span2.insert({idx: Fraction(1)})
-    # the highest order among the classes of 1, x_1, ..., x_n (the first
-    # columns) outside m^2 + J
+    # the highest order among the classes of 1, x_1, ..., x_n outside
+    # m^2 + J
     gamma_quot = max(order.monomial_order(m) for idx, m
-                     in enumerate(ma.space.monomials[:f.n + 1])
-                     if not span2.contains({idx: Fraction(1)}))
+                     in enumerate(ma.space.monomials)
+                     if sum(m) < 2 and not span2.contains({idx: Fraction(1)}))
     if f.order() >= 3:
         gamma_ord = gamma(order, Polynomial.constant(f.n, 1))
         if gamma_ord != gamma_quot:

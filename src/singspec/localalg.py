@@ -1,8 +1,9 @@
 """Truncated local-algebra engine: Milnor and Tjurina algebras by exact
 linear algebra modulo a power of the maximal ideal, the one level walk
 that every filtration spectrum comes from, the choice of filtration
-order, and Steenbrink spectrum extraction.  The cached MilnorAlgebra of f is the one record of the
-germ: every invariant of f is computed once and kept on it.
+order, and Steenbrink spectrum extraction.  The cached MilnorAlgebra of
+f is the one record of the germ: every invariant of f is computed once
+and kept on it.
 
 The truncation degree N is grown until the truncated Jacobian span
 contains m^{N-2}; by Nakayama this certifies m^{N-2} inside the Jacobian

@@ -304,6 +304,7 @@ def reference_vhi(f, hint, start):
     base = span.rank()
     by_order = sorted((order.monomial_order(m), m) for m in space.monomials)
     desc = list(reversed(by_order))
+    levels = space.by_order(order)  # the generators' input format
     p_max = f.n + 1
     alphas = {1 - (-v) % 1 for v, m in by_order} | {Fraction(1)}
     stages = sorted({a + p for a in alphas for p in range(p_max + 1)},
@@ -316,9 +317,8 @@ def reference_vhi(f, hint, start):
             frontier += 1
         for p in range(p_max + 1):
             if 0 < s - p <= 1:
-                for G, mu in hodge._pruned_generators(
-                        f, s - p, p, order, space, s,
-                        space.by_order(order)):
+                for G, mu in hodge._pruned_generators(f, s - p, p, order,
+                                                      space, s, levels):
                     span.insert(space.to_vector(G, mu))
         dims.append((s, span.rank() - base))
         if dims[-1][1] == space.dimension - base:
