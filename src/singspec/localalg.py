@@ -304,7 +304,7 @@ def level_filtration(ma, order, span, stages=None, extra=None):
     orders; the walk ends once the quotient is full.  Columns that span
     already holds as unit rows are skipped."""
     span = span.copy()
-    groups = {}
+    groups = {}  # only the columns it may insert: most lie in span
     for idx, m in enumerate(ma.space.monomials):
         if len(span.rows.get(idx, ())) != 1:
             groups.setdefault(order.monomial_order(m), []).append(idx)
