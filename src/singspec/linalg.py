@@ -1,10 +1,9 @@
-"""Exact linear algebra over the rationals and integer lattice utilities.
+"""Exact linear algebra over the rationals.
 
 The sparse incremental row span is the one elimination routine: it is
-the workhorse for truncated local algebra quotients, and the dense
-rank, nullspace and solve for small systems (facet normals, lattice
-coordinates) run on it too.  Smith normal form solves the separate
-integer problem of lattice bases.
+the workhorse for truncated local algebra quotients, and the dense rank
+and nullspace for small systems (face dimensions, facet normals) run on
+it too.
 """
 
 from fractions import Fraction
@@ -37,97 +36,6 @@ def nullspace(rows, n):
                 vec[pc] = -row.get(fc, Fraction(0))
             basis.append(vec)
     return basis
-
-
-def solve(rows, rhs):
-    """Solve M x = rhs exactly; returns None if inconsistent.
-
-    When the system is underdetermined the solution with every non-pivot
-    unknown set to zero is returned."""
-    n = len(rows[0])
-    reduced = _row_span(list(row) + [b] for row, b in zip(rows, rhs)).rows
-    if n in reduced:  # a row reduced to 0 = 1
-        return None
-    x = [Fraction(0)] * n
-    for pc, row in reduced.items():
-        x[pc] = row.get(n, Fraction(0))
-    return x
-
-
-def smith_normal_form(matrix):
-    """Integer Smith normal form: returns (U, S, W) with M = U S W,
-    U and W unimodular, S diagonal with the usual divisibility chain."""
-    S = [list(map(int, row)) for row in matrix]
-    m = len(S)
-    n = len(S[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    W = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        W[i], W[j] = W[j], W[i]
-
-    def add_row(i, j, q):
-        # row_i += q * row_j ; compensate in U
-        S[i] = [a + q * b for a, b in zip(S[i], S[j])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-
-    def add_col(i, j, q):
-        # col_i += q * col_j ; compensate in W (acting on the right)
-        for row in S:
-            row[i] += q * row[j]
-        W[j] = [a - q * b for a, b in zip(W[j], W[i])]
-
-    t = 0
-    while t < min(m, n):
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if S[i][j] != 0 and (best is None or abs(S[i][j]) < best):
-                    best = abs(S[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        done = False
-        while not done:
-            done = True
-            for i in range(t + 1, m):
-                if S[i][t] != 0:
-                    q = S[i][t] // S[t][t]
-                    add_row(i, t, -q)
-                    if S[i][t] != 0:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, n):
-                if S[t][j] != 0:
-                    q = S[t][j] // S[t][t]
-                    add_col(j, t, -q)
-                    if S[t][j] != 0:
-                        swap_cols(t, j)
-                        done = False
-        if S[t][t] < 0:
-            S[t] = [-v for v in S[t]]
-            U[t] = [-v for v in U[t]]
-        t += 1
-    return U, S, W
-
-
-def saturated_lattice_basis(rows, n):
-    """Basis of span_Q(rows) intersect Z^n, as integer vectors."""
-    rows = [list(map(int, r)) for r in rows]
-    if not rows:
-        return []
-    _, S, W = smith_normal_form(rows)
-    d = sum(1 for i in range(min(len(S), n)) if S[i][i] != 0)
-    return [list(W[i]) for i in range(d)]
 
 
 class RowSpan:

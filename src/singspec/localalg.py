@@ -236,6 +236,12 @@ def _validate_input(f):
     if f.order() < 2:
         raise UnsupportedError("polynomial must lie in the square of the "
                                "maximal ideal")
+    # f and its partials vanish on the x_i-axis exactly when no term is
+    # x_i^m or x_j x_i^m: every term has degree >= 2 in the others
+    for i in range(f.n):
+        if all(sum(p) - p[i] >= 2 for p in f.terms):
+            raise NonIsolatedError("f is singular along the x_%d-axis"
+                                   % (i + 1))
 
 
 @lru_cache(maxsize=64)

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import DegenerateError, NonIsolatedError, ResourceCapError
-from .linalg import nullspace, rank, saturated_lattice_basis, solve
+from .linalg import nullspace, rank
 from .polycore import Polynomial, add_scaled
 
 
@@ -339,6 +339,8 @@ def gamma(order, g):
 # ---------------------------------------------------------------------------
 # non-degeneracy testing
 
+REDUCTION_CAP = 100000  # s-polynomial reductions per face before 'unknown'
+
 
 def _degrevlex_key(expo):
     return (sum(expo), tuple(-e for e in reversed(expo)))
@@ -430,63 +432,91 @@ class NondegeneracyVerdict:
             self.status, self.face, self.reason)
 
 
+def _lattice_coordinates(vectors):
+    """An echelon basis of the lattice the integer vectors span, and the
+    integer coordinates of each vector over it.
+
+    Euclid down each column in turn, on the rows not yet in the basis,
+    leaves one row with a non-zero entry there; that row joins the basis.
+    The row operations are unimodular, so the basis spans the same
+    lattice, and a later basis row is zero in every earlier pivot
+    column, so reading coordinates pivot by pivot divides exactly."""
+    rows = [list(v) for v in vectors]
+    basis = []
+    for j in range(len(vectors[0]) if vectors else 0):
+        live = [r for r in rows if r[j]]
+        while len(live) > 1:
+            top = min(live, key=lambda r: abs(r[j]))
+            for r in live:
+                if r is not top:
+                    q = r[j] // top[j]
+                    r[:] = [a - q * b for a, b in zip(r, top)]
+            live = [r for r in live if r[j]]
+        if live:
+            basis.append((j, live[0]))
+            rows = [r for r in rows if r is not live[0]]
+    coords = []
+    for v in vectors:
+        rest = list(v)
+        coords.append([])
+        for j, b in basis:
+            q = rest[j] // b[j]
+            rest = [a - q * x for a, x in zip(rest, b)]
+            coords[-1].append(q)
+    return [b for _, b in basis], coords
+
+
 def _face_torus_system(f, face):
-    """Logarithmic derivative system of the face part of f, rewritten in
-    lattice coordinates of the face direction space."""
-    n = f.n
+    """Logarithmic derivative system of the face part of f, in the
+    coordinates c(p) of p - p_0 over a basis b_1..b_d of the lattice L
+    that the differences of the face points span.
+
+    With y_k = x^{b_k}, x_i d_i f_sigma = x^{p_0} sum_p f_p p_i y^{c(p)}.
+    Any Z-basis of L gives the same verdict, saturated in Z^n or not: the
+    b_k are independent, so x -> (x^{b_k}) maps (C*)^n onto (C*)^d, as
+    every character of L extends to Z^n (C* is divisible).  So the
+    system has a zero in (C*)^n exactly when the y-system has one in
+    (C*)^d; the unit x^{p_0} and the shift to non-negative exponents
+    change no zero in the torus."""
     pts = sorted(face.points)
-    base = pts[0]
-    diffs = [[p[i] - base[i] for i in range(n)] for p in pts[1:]]
-    basis = saturated_lattice_basis(diffs, n)
-    d = len(basis)
-    coords = {}
-    for p in pts:
-        target = [p[i] - base[i] for i in range(n)]
-        sol = solve([[basis[k][i] for k in range(d)] for i in range(n)],
-                    target)
-        coords[p] = tuple(int(v) for v in sol)
-    shift = tuple(min(coords[p][k] for p in pts) for k in range(d))
-    systems = []
-    for i in range(n):
-        poly = {}
-        for p in pts:
-            c = f.terms[p] * p[i]
-            if c == 0:
-                continue
-            e = tuple(coords[p][k] - shift[k] for k in range(d))
-            poly[e] = poly.get(e, Fraction(0)) + c
-        poly = {e: c for e, c in poly.items() if c != 0}
-        if poly:
-            systems.append(poly)
-    return systems, d
+    basis, coords = _lattice_coordinates(
+        [[a - b for a, b in zip(p, pts[0])] for p in pts])
+    shift = [min(c[k] for c in coords) for k in range(len(basis))]
+    return [{tuple(a - s for a, s in zip(c, shift)): f.terms[p] * p[i]
+             for p, c in zip(pts, coords) if p[i]}
+            for i in range(f.n)], len(basis)
 
 
-def is_nondegenerate(f, reduction_cap=100000):
+def is_nondegenerate(f):
     """Decide non-degeneracy of the Newton boundary of f.
 
     For each compact face sigma the system {x_i d_i f_sigma = 0} must
-    have no solution in the torus; faces of dimension 0 pass trivially,
-    higher faces are re-parametrized to lattice coordinates and decided
+    have no solution in the torus (Kouchnirenko); simplices pass at
+    once, other faces are written in lattice coordinates and decided
     by an exact unit-ideal test with monomial saturation."""
     NP = newton_polyhedron(f)
-    return _face_verdict(f, NP, compact_faces(NP), reduction_cap)
+    return _face_verdict(f, NP, compact_faces(NP))
 
 
-def _face_verdict(f, NP, faces, reduction_cap=100000):
+def _face_verdict(f, NP, faces):
     """The face loop of is_nondegenerate, on a polyhedron NP of f and its
-    compact faces already built."""
+    compact faces already built.
+
+    A face whose points are affinely independent needs no Groebner run.
+    A compact face lies on a hyperplane l = c with c > 0, so its points
+    p_j are then linearly independent.  With y_j = f_{p_j} x^{p_j} the
+    system says sum_j p_{j,i} y_j = 0 for every i, which forces y = 0,
+    impossible in the torus."""
     for face in faces:
-        if face.dimension == 0:
+        if face.dimension + 1 == len(face.points):
             continue
         systems, d = _face_torus_system(f, face)
-        if not systems:
-            return NondegeneracyVerdict("no", NP, face=face)
         # saturate by the torus: add t * y_1 ... y_d - 1
         lifted = [{e + (0,): c for e, c in poly.items()} for poly in systems]
         sat = {tuple([1] * d + [1]): Fraction(1),
                tuple([0] * (d + 1)): Fraction(-1)}
         lifted.append(sat)
-        verdict = _buchberger_trivial(lifted, reduction_cap)
+        verdict = _buchberger_trivial(lifted, REDUCTION_CAP)
         if verdict == "nontrivial":
             return NondegeneracyVerdict("no", NP, face=face)
         if verdict == "unknown":

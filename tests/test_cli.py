@@ -1,6 +1,7 @@
 """Command-line interface: verbs, output formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -184,6 +185,20 @@ def test_unsupported_exit_2(capsys):
     assert code == 2
     assert "unsupported" in err
     assert "NonIsolatedError" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("milnor", "x^2*y^2"),
+    # z is free, so the z-axis is singular; without the axis test the
+    # truncation climbed to its cap before giving up
+    ("milnor", "x^5+y^4", "--vars", "x,y,z"),
+])
+def test_singular_axis_exits_2_at_once(capsys, argv):
+    start = time.monotonic()
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "NonIsolatedError" in err and "axis" in err
+    assert time.monotonic() - start < 5
 
 
 def test_truncation_cap_exit_3(capsys):

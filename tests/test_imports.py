@@ -1,12 +1,15 @@
-"""Every name a module of the package imports is used in it, and every
-private module-level name is used somewhere in the package."""
+"""Every name a module of the package imports is used in it, every
+private module-level name is used somewhere in the package, and every
+public module-level function and class is used somewhere in the
+package, its tests or its benchmark."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "singspec"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "singspec"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -35,21 +38,38 @@ def _private_definitions(tree):
                     if name.startswith("_") and not name.startswith("__"))
 
 
-def test_every_private_name_is_referenced():
-    """A private module-level name that nothing in the package reads is
-    a leftover."""
-    defined = {}
+def _referenced_names(paths):
+    """Names read, attributes taken and names imported in the files."""
     used = set()
-    for path in PACKAGE.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        for name in _private_definitions(tree):
-            defined[name] = path.name
-        for node in ast.walk(tree):
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_private_name_is_referenced():
+    """A private module-level name that nothing in the package reads is
+    a leftover."""
+    defined = {name: path.name for path in PACKAGE.glob("*.py")
+               for name in _private_definitions(ast.parse(path.read_text()))}
+    used = _referenced_names(PACKAGE.glob("*.py"))
+    assert sorted("%s in %s" % (name, module) for name, module
+                  in defined.items() if name not in used) == []
+
+
+def test_every_public_function_and_class_is_referenced():
+    """A public module-level function or class that neither the package,
+    its tests nor its benchmark uses is a leftover."""
+    defined = {node.name: path.name for path in PACKAGE.glob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    used = _referenced_names(path for folder in ("src", "tests", "bench")
+                             for path in (ROOT / folder).rglob("*.py"))
     assert sorted("%s in %s" % (name, module) for name, module
                   in defined.items() if name not in used) == []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from singspec import newton
 from singspec.errors import DegenerateError
+from singspec.linalg import rank
 from singspec.newton import (compact_faces, convenientize, gamma,
                              is_nondegenerate, newton_filtration,
                              newton_polyhedron, order_of,
@@ -79,6 +80,35 @@ def test_degenerate_face_is_reported():
     assert verdict.status == "no"
     assert verdict.face is not None
     assert {(2, 0), (1, 1), (0, 2)} <= set(verdict.face.points)
+
+
+@pytest.mark.parametrize("text, variables", [
+    # the 2-face {(0,3,5), (2,1,3), (3,0,2), (3,6,1)} has index 6 in Z^3
+    # under a projection onto pivot columns; coordinates over a basis of
+    # its own lattice keep the Groebner run small
+    ("x^3*z^2 + x^2*y*z^3 + x^5*z + y^3*z^5 + x^3*y^6*z + x^5*y^2*z^3"
+     " + x^5*z^6", "xyz"),
+    # every compact face is a simplex, which needs no Groebner run
+    ("x^6*y^3*z*u^5 + x^6*y^6*z^2*u^2 + x^5*y^3*z^5*u^4"
+     " + x^2*y^6*z^5*u^5", "xyzu"),
+])
+def test_nondegenerate_answers_quickly(text, variables):
+    start = time.monotonic()
+    assert is_nondegenerate(poly(text, variables)).status == "yes"
+    assert time.monotonic() - start < 10
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=6)))
+@settings(max_examples=200, deadline=None)
+def test_lattice_coordinates(vectors):
+    basis, coords = newton._lattice_coordinates(vectors)
+    n = len(vectors[0]) if vectors else 0
+    assert len(basis) == rank(vectors, n)
+    for v, c in zip(vectors, coords):
+        assert all(type(x) is int for x in c)
+        assert [sum(ck * b[i] for ck, b in zip(c, basis))
+                for i in range(n)] == v
 
 
 def test_compact_faces_count():
@@ -151,11 +181,23 @@ def test_swh_structure_split():
 
 
 def test_swh_structure_bounds_the_isolation_test():
-    # f1 = x^5 + x^2*y^2 + z^2 is singular along the y axis; its Milnor
-    # algebra would climb to the truncation cap, while a failed
-    # certificate at N >= floor(s / min w) + 3 = 8 already proves it
+    # f1 = x^5 + x^2*y^2 + z^2 is singular along the y axis, which the
+    # input check of the Milnor algebra sees from the terms alone
     w = make_weights([Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)])
     f = parse_polynomial("x^5 + y^7 + x^2*y^2 + z^2", ["x", "y", "z"])
+    start = time.monotonic()
+    st_ = swh_structure(f, w)
+    assert not st_.is_swh
+    assert st_.below_weight_one == []
+    assert time.monotonic() - start < 10
+
+
+def test_swh_structure_bounds_an_off_axis_singular_locus():
+    # f1 = (x^3 - y^2)^2 + z^2 is singular along x^3 = y^2, z = 0, on no
+    # axis; its Milnor algebra would climb to the truncation cap, while a
+    # failed certificate at N >= floor(s / min w) + 3 = 10 proves it
+    w = make_weights([Fraction(1, 6), Fraction(1, 4), Fraction(1, 2)])
+    f = parse_polynomial("(x^3 - y^2)^2 + z^2 + x^7", ["x", "y", "z"])
     start = time.monotonic()
     st_ = swh_structure(f, w)
     assert not st_.is_swh

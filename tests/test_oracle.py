@@ -32,17 +32,28 @@ semi-weighted-homogeneous for the facet's weights.  With i = 1 or
 j = 1 in two variables this fails: x^a + c x y^j is isolated, and the
 germ is semi-weighted-homogeneous for that facet.  The test also asks
 swh_structure for every facet's weights and for the weights 1/a_l.
+
+In two variables non-degeneracy itself has an oracle.  A compact edge
+from p_0 in the primitive direction (v_1, -v_2) gives
+f_sigma = x^{p_0} g(t) with t = x^{v_1} y^{-v_2} and g(0) != 0.  Then
+x f_x = x^{p_0} (p_{0,1} g + v_1 t g') and
+y f_y = x^{p_0} (p_{0,2} g - v_2 t g'), a system invertible in
+(g, t g') since p_{0,1} v_2 + p_{0,2} v_1 > 0.  So the edge is
+degenerate exactly when g has a multiple root in C*, a non-zero root of
+gcd(g, g').
 """
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from singspec.localalg import milnor_algebra, steenbrink_spectrum
 from singspec.newton import is_nondegenerate, swh_structure
-from singspec.polycore import Polynomial, spectrum_symmetry_check
+from singspec.polycore import (Polynomial, parse_polynomial,
+                               spectrum_symmetry_check)
 
 coefficients = st.fractions(min_value=-3, max_value=3,
                             max_denominator=4).filter(bool)
@@ -98,3 +109,108 @@ def test_kouchnirenko_three_variables(exps, coeff):
     mu = a * b * k + b * c * i + a * c * j - (a * b + b * c + c * a) \
         + (a + b + c) - 1
     assert_matches_oracle(f, mu, (a, b, c))
+
+
+def compact_edges(support):
+    """The compact edges of the Newton polygon, each as its points in
+    order of x: the lower-left hull, walked while its slope is negative."""
+    here = min(support)
+    edges = []
+    while True:
+        slopes = {p: Fraction(p[1] - here[1], p[0] - here[0])
+                  for p in support if p[0] > here[0]}
+        if not slopes or min(slopes.values()) >= 0:
+            return edges
+        least = min(slopes.values())
+        edges.append([here] + sorted(p for p, s in slopes.items()
+                                     if s == least))
+        here = edges[-1][-1]
+
+
+def edge_polynomial(f, edge):
+    """Coefficients of g, lowest first, with f_sigma = x^{p_0} g(t)."""
+    (x0, y0), (x1, y1) = edge[0], edge[-1]
+    k = gcd(x1 - x0, y0 - y1)
+    v1, v2 = (x1 - x0) // k, (y0 - y1) // k
+    return [f.terms.get((x0 + j * v1, y0 - j * v2), Fraction(0))
+            for j in range(k + 1)]
+
+
+def strip(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def polynomial_gcd(a, b):
+    """Euclid on coefficient lists over Fraction, lowest first."""
+    a, b = strip(list(a)), strip(list(b))
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            q = r[-1] / b[-1]
+            for i, c in enumerate(b):
+                r[len(r) - len(b) + i] -= q * c
+            strip(r)
+        a, b = b, r
+    return a
+
+
+def degenerate_edges(f):
+    """The compact edges whose g has a multiple root in C*."""
+    found = []
+    for edge in compact_edges(f.support()):
+        g = edge_polynomial(f, edge)
+        d = polynomial_gcd(g, [j * c for j, c in enumerate(g)][1:])
+        while d and d[0] == 0:  # drop the factor t^m: the rest are non-zero
+            d = d[1:]
+        if len(d) > 1:
+            found.append(edge)
+    return found
+
+
+@st.composite
+def two_variable_germs(draw):
+    """x^k y^l (x^a - c y^b)^m, a repeated factor whenever m >= 2, plus
+    pure powers (some of the time) and up to three more terms."""
+    small = st.integers(-3, 3).filter(bool)
+    a, b, m = draw(st.integers(1, 3)), draw(st.integers(1, 3)), \
+        draw(st.integers(1, 3))
+    factor = Polynomial.monomial(2, (a, 0)) \
+        - Polynomial.monomial(2, (0, b), draw(small))
+    f = Polynomial.monomial(2, (draw(st.integers(0, 2)),
+                                draw(st.integers(0, 2))))
+    for _ in range(m):
+        f = f * factor
+    extra = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                          max_size=3))
+    if draw(st.booleans()):
+        extra += [(draw(st.integers(2, 12)), 0), (0, draw(st.integers(2, 12)))]
+    for e in extra:
+        if e != (0, 0):
+            f = f + Polynomial.monomial(2, e, draw(small))
+    assume(not f.is_zero())
+    return f
+
+
+@given(two_variable_germs())
+@settings(max_examples=80, deadline=None)
+def test_two_variable_nondegeneracy_oracle(f):
+    degenerate = degenerate_edges(f)
+    verdict = is_nondegenerate(f)
+    assert verdict.status == ("no" if degenerate else "yes")
+    if degenerate:
+        assert sorted(verdict.face.points) in degenerate
+
+
+@pytest.mark.parametrize("text, status", [
+    ("x^2 - 2*x*y + y^2 + x^5 + y^5", "no"),
+    ("x^4 - 2*x^2*y^2 + y^4 + x^7", "no"),
+    ("(x + y)^3 + x^5 + y^5", "no"),
+    ("x^4 + 3*x^2*y^2 + y^4", "yes"),
+    ("x^5 + y^4 + x^3*y^2", "yes"),
+])
+def test_two_variable_oracle_examples(text, status):
+    f = parse_polynomial(text, ["x", "y"])
+    assert bool(degenerate_edges(f)) == (status == "no")
+    assert is_nondegenerate(f).status == status
