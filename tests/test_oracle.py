@@ -41,15 +41,34 @@ y f_y = x^{p_0} (p_{0,2} g - v_2 t g'), a system invertible in
 (g, t g') since p_{0,1} v_2 + p_{0,2} v_1 > 0.  So the edge is
 degenerate exactly when g has a multiple root in C*, a non-zero root of
 gcd(g, g').
+
+Two theorems that hold for every f check the generator model of the
+Hodge ideals I_p(alpha Z) (the hodge module docstring):
+- minimal exponent: I_p(alpha Z) is the whole ring exactly when
+  alpha + p <= the minimal exponent of f (Mustata-Popa, Hodge ideals
+  for Q-divisors, V-filtration, and minimal exponent, Forum Math. Sigma
+  8, 2020), which for an isolated singularity is the smallest spectral
+  number alpha_1 (Saito, Hodge ideals and microlocal V-filtration,
+  arXiv:1612.08667); alpha_1 is the order of 1 under the weights, or
+  under the Newton boundary, and is written out below;
+- decrease in p: I_p(alpha Z) lies in I_{p-1}(alpha Z) (Mustata-Popa,
+  Hodge ideals for Q-divisors: birational approach, J. Ec. polytech.
+  Math. 6, 2019), so every generator of the model's I_p lies in its
+  I_{p-1}.
+In two variables alpha_1 < 1, so 1 in I_p is tested only for p = 0;
+the three- and four-variable germs with alpha_1 > 1 test it for p >= 1.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import ceil, gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from singspec import hodge
+from singspec.hodge import hodge_ideal_member
 from singspec.localalg import milnor_algebra, steenbrink_spectrum
 from singspec.newton import is_nondegenerate, swh_structure
 from singspec.polycore import (Polynomial, parse_polynomial,
@@ -214,3 +233,74 @@ def test_two_variable_oracle_examples(text, status):
     f = parse_polynomial(text, ["x", "y"])
     assert bool(degenerate_edges(f)) == (status == "no")
     assert is_nondegenerate(f).status == status
+
+
+# (germ, its variables, alpha_1): the weights' sum for weighted
+# homogeneous principal parts, else the Newton order of 1
+MINIMAL_EXPONENTS = [
+    ("x^5+y^4", "xy", Fraction(9, 20)),
+    ("x^5+y^4+x^3*y^2", "xy", Fraction(9, 20)),
+    ("x^3+y^7+x^2*y^3", "xy", Fraction(10, 21)),
+    ("x^6+y^6+x^2*y^2", "xy", Fraction(1, 2)),
+    ("x^7+y^5+x^2*y^2", "xy", Fraction(1, 2)),
+    ("x^5+x^2*y^2+y^5", "xy", Fraction(1, 2)),
+    ("x^3+y^3+z^4+x*y*z^2", "xyz", Fraction(11, 12)),
+    ("x^2+y^4+z^5+y^2*z^2", "xyz", Fraction(1)),
+    ("x^2+y^3+z^4", "xyz", Fraction(13, 12)),
+    ("x^2+y^3+z^3", "xyz", Fraction(7, 6)),
+    ("x^2+y^2+z^3+u^3", "xyzu", Fraction(5, 3)),
+    ("w^2+x^2+y^4+z^6+y^2*z^2", "wxyz", Fraction(3, 2)),
+]
+
+
+def germ(text, variables):
+    return parse_polynomial(text, list(variables))
+
+
+@pytest.mark.parametrize("text, variables, alpha_1", MINIMAL_EXPONENTS)
+def test_one_in_hodge_ideal_up_to_minimal_exponent(text, variables,
+                                                    alpha_1):
+    f = germ(text, variables)
+    assert steenbrink_spectrum(f).min_exponent() == alpha_1
+    one = Polynomial.constant(f.n, 1)
+    for p in range(3):
+        alphas = {Fraction(k, 12) for k in range(1, 13)}
+        alphas |= {a for a in (alpha_1 - p, alpha_1 - p + Fraction(1, 120))
+                   if 0 < a <= 1}
+        for alpha in sorted(alphas):
+            assert hodge_ideal_member(f, alpha, p, one) == \
+                (alpha + p <= alpha_1), (alpha, p)
+
+
+def first_generators(f, alpha, p, count=15):
+    """The first count generators of the model's I_p(alpha Z), each as
+    the truncated polynomial x^mu G, on the space membership uses."""
+    ma = milnor_algebra(f)
+    order = ma.order()
+    space = hodge._pspan_space(f, alpha, p, order, ma)
+    gens = hodge._pruned_generators(f, alpha, p, order, space, alpha + p,
+                                    space.by_order(order))
+    return [(Polynomial(f.n, G) * Polynomial.monomial(f.n, mu))
+            .truncate(space.N) for G, mu in islice(gens, count)]
+
+
+def assert_decreasing_in_p(f):
+    tried = 0
+    for alpha in (Fraction(1, 5), Fraction(1, 2), Fraction(7, 10), 1):
+        for p in (1, 2):
+            for g in first_generators(f, alpha, p):
+                assert hodge_ideal_member(f, alpha, p - 1, g), (alpha, p, g)
+                tried += 1
+    assert tried
+
+
+@pytest.mark.parametrize("text, variables, alpha_1", MINIMAL_EXPONENTS)
+def test_hodge_ideal_generators_lie_one_index_down(text, variables, alpha_1):
+    assert_decreasing_in_p(germ(text, variables))
+
+
+@given(below_the_simplex(range(5, 9), (2, 2)), coefficients)
+@settings(max_examples=8, deadline=None)
+def test_hodge_ideals_decrease_in_p_newton_family(exps, c):
+    (a, b), (i, j) = exps
+    assert_decreasing_in_p(Polynomial(2, {(a, 0): 1, (0, b): 1, (i, j): c}))
