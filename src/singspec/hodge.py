@@ -17,7 +17,8 @@ from math import ceil
 from .errors import ResourceCapError
 from .linalg import RowSpan
 from .localalg import (TruncatedSpace, filtered_quotient_dims,
-                       ideal_membership, level_filtration, milnor_algebra)
+                       ideal_membership, level_filtration, level_walk,
+                       milnor_algebra)
 from .newton import gamma, order_of
 from .polycore import (Polynomial, add_scaled, deriv_terms, mul_terms,
                        partial_derivative)
@@ -152,14 +153,12 @@ def hodge_ideal_member(f, alpha, p, g, modulo="nothing", hint=None):
     else:
         space = ma.space
         span = ma.span.copy()
-    levels = space.by_order(order)
     level = alpha + p
-    for val, idx in levels:
-        if val >= level:
-            span.insert({idx: Fraction(1)})
-    for G, mu in _pruned_generators(f, alpha, p, order, space, level,
-                                    levels):
-        span.insert(space.to_vector(G, mu))
+    next(level_walk(space, order, span, [level]))
+    if p:  # I_0(alpha Z) is the monomial level alone
+        for G, mu in _pruned_generators(f, alpha, p, order, space, level,
+                                        space.by_order(order)):
+            span.insert(space.to_vector(G, mu))
     return span.contains(space.to_vector(g.terms))
 
 
@@ -276,11 +275,11 @@ def theorem1_check(f, hint=None):
     sp = ma.spectrum(hint)
     alpha_max = sp.max_exponent()
     report["alpha_max"] = alpha_max
-    # f lies in the top level exactly when adding it does not grow it
+    span = ma.span.copy()  # the Jacobian span plus the top level
+    next(level_walk(ma.space, order, span, [alpha_max]))
+    top_dim = span.rank() - ma.span.rank()
     fvec = ma.space.to_vector(f.terms)
-    top_dim = level_filtration(ma, order, ma.span, [alpha_max]).total()
-    f_in_top = level_filtration(ma, order, ma.span, [alpha_max],
-                                lambda s: [fvec]).total() == top_dim
+    f_in_top = span.contains(fvec)
     f_nonzero = not ma.span.contains(fvec)
     hyp = (tau == ma.mu - 1 and top_dim == 1 and f_in_top and f_nonzero)
     report["hypothesis_f_spans_top"] = hyp
@@ -464,64 +463,30 @@ def monotonicity_scan(f, hint=None, p=2):
     ma = milnor_algebra(f)
     order = ma.order(hint)
     space = ma.space
-    spectrum = filtered_quotient_dims(f, order, False)
     levels = space.by_order(order)
     jump_vals = sorted({val for val, idx in levels if 0 < val <= 1}
                        | {Fraction(1)})
     points = sorted(set(jump_vals) | {(a + b) / 2 for a, b
                                       in zip(jump_vals, jump_vals[1:])},
                     reverse=True)
-    nf_cache = {}  # normal forms of monomials over the Milnor basis
-
-    def nf(idx):
-        if idx not in nf_cache:
-            nf_cache[idx] = ma.span.reduce({idx: Fraction(1)})
-        return nf_cache[idx]
-
-    ws = RowSpan()  # span of monomial classes of order >= current level
-    desc = levels[::-1]
-    frontier = 0
-
-    def advance(level):
-        nonlocal frontier
-        want = sum(d for b, d in spectrum.entries.items() if b >= level)
-        while frontier < len(desc) and desc[frontier][0] >= level:
-            if ws.rank() < want:
-                ws.insert(dict(nf(desc[frontier][1])))
-            frontier += 1
-
-    def survivors(a):
-        """((G, mu), residue vector) pairs for the part of I_p(a Z) not
-        inside TildeV^{a+p} + (Jacobian); terms already at level a+p are
-        dropped before reduction, which is sound modulo that span."""
-        out = []
-        level = a + p
-        for G, mu in _pruned_generators(f, a, p, order, space, level,
-                                        levels):
-            vec = {}
-            for expo, c in G.items():
-                shifted = tuple(e + m for e, m in zip(expo, mu))
-                idx = space.index.get(shifted)
-                if idx is None or order.monomial_order(shifted) >= level:
-                    continue
-                add_scaled(vec, nf(idx), c)
-            res = ws.reduce(vec)
-            if res:
-                out.append(((G, mu), res))
-        return out
-
+    span = ma.span.copy()  # the Jacobian span plus the walk's level
     violations = []
     prev = None  # (alpha', survivors at alpha')
-    for a in points:
-        advance(a + p)
+    for s in level_walk(space, order, span, [a + p for a in points]):
+        # survivors: the generators of I_p(a Z) outside TildeV^s + J,
+        # with their residues modulo the span at stage s
+        a = s - p
+        cur = []
         span_a = RowSpan()
-        cur = survivors(a)
-        for gen, res in cur:
-            span_a.insert(ws.reduce(res))
+        for G, mu in _pruned_generators(f, a, p, order, space, s, levels):
+            res = span.reduce(space.to_vector(G, mu))
+            if res:
+                cur.append(((G, mu), res))
+                span_a.insert(res)
         if prev is not None:
             a_hi, sur_hi = prev
             for (G, mu), res in sur_hi:
-                res2 = ws.reduce(res)
+                res2 = span.reduce(res)
                 if res2 and not span_a.contains(res2):
                     g = Polynomial(f.n, G) * Polynomial.monomial(f.n, mu)
                     violations.append((a, a_hi, g.truncate(space.N)))

@@ -301,37 +301,42 @@ def ideal_membership(f, g, include_f):
     return span.contains(ma.space.to_vector(g.terms))
 
 
-def level_filtration(ma, order, span, stages=None, extra=None):
-    """Spectrum of a descending filtration on the quotient of ma's
-    truncated space by span: at each stage s, in descending order, the
-    monomials of order >= s and then the vectors extra(s) yields are
-    inserted into a copy of span, and the rank growth is the
-    multiplicity of s.  The stages default to the distinct monomial
-    orders; the walk ends once the quotient is full.  Columns that span
-    already holds as unit rows are skipped."""
-    span = span.copy()
+def level_walk(space, order, span, stages=None):
+    """The monomial levels of a descending filtration, inserted into span
+    itself: at each stage s, in descending order, the columns of order
+    >= s that span does not already hold as unit rows are inserted, and
+    then s is yielded.  The stages default to the distinct orders of
+    those columns; the walk stops once the quotient is full."""
     groups = {}  # only the columns it may insert: most lie in span
-    for idx, m in enumerate(ma.space.monomials):
+    for idx, m in enumerate(space.monomials):
         if len(span.rows.get(idx, ())) != 1:
             groups.setdefault(order.monomial_order(m), []).append(idx)
     levels = sorted(groups, reverse=True)
-    if stages is None:
-        stages = levels
-    jumps = {}
-    rank = span.rank()
     k = 0
-    for s in stages:
+    for s in levels if stages is None else stages:
         while k < len(levels) and levels[k] >= s:
             for idx in groups[levels[k]]:
                 span.insert({idx: Fraction(1)})
             k += 1
+        yield s
+        if span.rank() == space.dimension:
+            return
+
+
+def level_filtration(ma, order, span, stages=None, extra=None):
+    """Spectrum of a descending filtration on the quotient of ma's
+    truncated space by span: the level walk on a copy of span, with the
+    vectors extra(s) yields inserted after each stage's monomials; the
+    rank growth at s is the multiplicity of s."""
+    span = span.copy()
+    jumps = {}
+    rank = span.rank()
+    for s in level_walk(ma.space, order, span, stages):
         if extra is not None:
             for vec in extra(s):
                 span.insert(vec)
         jumps[s] = span.rank() - rank
         rank = span.rank()
-        if rank == ma.space.dimension:
-            break
     return Spectrum(ma.f.n, jumps)
 
 
