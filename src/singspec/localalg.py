@@ -261,8 +261,22 @@ def milnor_algebra(f):
 
 def _certified_algebra(f, give_up):
     """The build of milnor_algebra, uncached; it also gives up, with
-    NonIsolatedError, once the certificate fails at some N >= give_up."""
+    NonIsolatedError, once the certificate fails at some N >= give_up.
+
+    Two bounds prove that f is not isolated before N_MAX.  The refined
+    Bezout theorem (Fulton, Intersection Theory, 12.3) bounds the
+    intersection multiplicity of hypersurfaces V_1, ..., V_n of P^n at
+    an isolated point of their intersection by deg V_1 ... deg V_n,
+    whatever the rest of the intersection is.  For isolated f the
+    partials cut out 0 as an isolated point and mu is their intersection
+    multiplicity there, so mu <= B = prod deg d_i f.  The truncated
+    codimension c(N) = dim C{x}/(J + m^N) is at most mu, so c(N) > B is
+    a proof; and m^mu lies in J, so the certificate holds by N = B + 2,
+    and its failure at any N >= B + 2 is a proof too."""
     _validate_input(f)
+    bound = 1  # every partial has degree >= 1 after _validate_input
+    for g in _partials(f):
+        bound *= g.degree()
     N = max(2 * f.degree(), f.n + 2)
     if _N_START is not None:
         N = max(_N_START, f.n + 2)
@@ -273,7 +287,12 @@ def _certified_algebra(f, give_up):
         space, span = jacobian_span(f, N)
         if _contains_power(space, span, N - 2):
             return MilnorAlgebra(f, N, space, span)
-        if N >= give_up:
+        codim = space.dimension - span.rank()
+        if codim > bound:
+            raise NonIsolatedError("Jacobian codimension %d at truncation "
+                                   "degree %d exceeds the Bezout bound %d"
+                                   % (codim, N, bound))
+        if N >= min(give_up, bound + 2):
             break
         N += 4
     raise NonIsolatedError("Jacobian span does not contain m^(N-2) by "

@@ -201,6 +201,22 @@ def test_singular_axis_exits_2_at_once(capsys, argv):
     assert time.monotonic() - start < 5
 
 
+@pytest.mark.parametrize("text", [
+    # singular along the curves x^3 = y^2, z = 0 and x = z^2,
+    # x^2 = y^3, on no coordinate axis: the truncated Jacobian
+    # codimension exceeds the product of the partials' degrees in the
+    # first round; before that bound the truncation climbed to its cap
+    "(x^3-y^2)^2+z^2",
+    "(x^2-y^3)^2+(z^2-x)^2",
+])
+def test_bezout_bound_exits_2_at_once(capsys, text):
+    start = time.monotonic()
+    code, _, err = run(capsys, "milnor", text)
+    assert code == 2
+    assert "NonIsolatedError" in err and "Bezout" in err
+    assert time.monotonic() - start < 5
+
+
 def test_truncation_cap_exit_3(capsys):
     # isolated (mu = 39), but the starting degree 80 is above the cap
     code, _, err = run(capsys, "milnor", "x^40 + y^2")

@@ -5,11 +5,15 @@ contains m^{N-2}; everything read from it must agree with a build that
 starts 8 degrees higher.
 """
 
+import time
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from singspec import localalg
+from singspec.errors import NonIsolatedError
 from singspec.hodge import (hodge_ideal_spectrum, prop2_witness,
                             theorem3_witness, tjurina_subspectrum)
 from singspec.localalg import (_contains_power, determinacy_bound,
@@ -17,7 +21,7 @@ from singspec.localalg import (_contains_power, determinacy_bound,
                                set_truncation_start, steenbrink_spectrum,
                                tjurina_number)
 from singspec.polycore import (Polynomial, make_weights, parse_polynomial,
-                               spectrum_product_formula)
+                               partial_derivative, spectrum_product_formula)
 
 
 def poly(text, variables="xy"):
@@ -104,3 +108,69 @@ def test_determinacy_bound_independent_of_N():
     finally:
         set_truncation_start(None)
     assert high == default
+
+
+def bezout_bound(f):
+    bound = 1
+    for i in range(1, f.n + 1):
+        bound *= partial_derivative(f, i).degree()
+    return bound
+
+
+def codimension_rounds(f):
+    """The truncated codimension of every round of f's Milnor algebra
+    build, started at the lowest degree, and the mu it ends with."""
+    codims = []
+    build = localalg.jacobian_span
+
+    def recording(g, N):
+        space, span = build(g, N)
+        codims.append(space.dimension - span.rank())
+        return space, span
+
+    localalg.jacobian_span = recording
+    set_truncation_start(f.n + 2)
+    try:
+        mu = milnor_algebra(f).mu
+    finally:
+        localalg.jacobian_span = build
+        set_truncation_start(None)
+    return codims, mu
+
+
+@st.composite
+def isolated_germs(draw):
+    """Pure powers plus one monomial x^e off their simplex.  Above it f
+    is semi-weighted-homogeneous; below it, in two variables with
+    e_1, e_2 >= 2, its Newton boundary is non-degenerate (the
+    Kouchnirenko family of tests/test_oracle.py).  So f is isolated."""
+    n = draw(st.integers(2, 3))
+    a = [draw(st.integers(2, 7 if n == 2 else 5)) for _ in range(n)]
+    e = tuple(draw(st.integers(0, 6)) for _ in range(n))
+    height = sum(Fraction(e_l, a_l) for e_l, a_l in zip(e, a))
+    assume(height > 1 or (n == 2 and height < 1 and min(e) >= 2))
+    terms = {tuple(a_l if k == l else 0 for k in range(n)): 1
+             for l, a_l in enumerate(a)}
+    terms[e] = draw(st.sampled_from([1, -1, 2, Fraction(-3, 2)]))
+    return Polynomial(n, terms)
+
+
+@given(isolated_germs())
+@settings(max_examples=15, deadline=None)
+def test_isolated_germs_stay_within_bezout_bound(f):
+    codims, mu = codimension_rounds(f)
+    assert max(codims) <= mu <= bezout_bound(f)
+
+
+@given(st.integers(1, 3), st.integers(2, 4),
+       st.sampled_from([1, -2, Fraction(1, 3)]))
+@settings(max_examples=10, deadline=None)
+def test_curve_singular_locus_proved_at_once(a, b, c):
+    # singular along x^a = c y^b, z = 0, on no coordinate axis
+    z = Polynomial.monomial(3, (0, 0, 1))
+    factor = Polynomial.monomial(3, (a, 0, 0)) \
+        - Polynomial.monomial(3, (0, b, 0), c)
+    start = time.monotonic()
+    with pytest.raises(NonIsolatedError):
+        milnor_algebra(factor * factor + z * z)
+    assert time.monotonic() - start < 5
