@@ -52,7 +52,6 @@ def _build_parser():
                         help="cutoff for the Hodge-ideal index p (no "
                         "effect on tj-spectrum)")
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--time", dest="timing", action="store_true")
         sp.add_argument("--out", default=None,
                         help="write the output to this file")
@@ -179,8 +178,7 @@ def emit_report(f, hint, variables, text, args):
                    for stmt in STATEMENTS},
         "caps": {"trunc": milnor_algebra(f).N,
                  "max_p": args.max_p if args.max_p is not None
-                 else f.n + 1,
-                 "seed": args.seed},
+                 else f.n + 1},
     })
     return report
 

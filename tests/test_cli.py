@@ -126,6 +126,16 @@ def test_report_json_schema(capsys):
         assert stmt in data["checks"]
 
 
+def test_report_caps_are_the_truncation_and_the_p_cutoff(capsys):
+    # every answer is exact and deterministic: no seed is taken or echoed
+    code, out, _ = run(capsys, "report", "x^5 + y^4", "--json")
+    assert code == 0
+    assert json.loads(out)["caps"] == {"trunc": 10, "max_p": 3}
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "x^5 + y^4", "--seed", "1"])
+    assert exc.value.code == 1
+
+
 def test_report_byte_stable(capsys):
     _, out1, _ = run(capsys, "report", "x^5 + y^4", "--json")
     _, out2, _ = run(capsys, "report", "x^5 + y^4", "--json")
