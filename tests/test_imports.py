@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in it, every
-private module-level name is used somewhere in the package, and every
+private module-level name is used somewhere in the package, every
 public module-level function and class is used somewhere in the
-package, its tests or its benchmark."""
+package, its tests or its benchmark, and the package imports only a
+pinned set of standard-library modules."""
 
 import ast
 import pathlib
@@ -11,6 +12,11 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "singspec"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# importing a module is start-up work that every run of the CLI pays,
+# so a new one is a deliberate edit of this set
+STDLIB_MODULES = {"argparse", "bisect", "fractions", "functools",
+                  "itertools", "json", "math", "operator", "re", "sys",
+                  "time"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -73,3 +79,14 @@ def test_every_public_function_and_class_is_referenced():
                              for path in (ROOT / folder).rglob("*.py"))
     assert sorted("%s in %s" % (name, module) for name, module
                   in defined.items() if name not in used) == []
+
+
+def test_only_pinned_stdlib_modules_are_imported():
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert sorted(found - STDLIB_MODULES) == []
