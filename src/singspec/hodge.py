@@ -3,6 +3,17 @@ P(i, beta) = f d_i - beta f_i, the V_HI filtration on the Milnor
 algebra, the Hodge-ideal spectrum and Tjurina subspectrum, epsilon_f,
 and executable verdicts for the main statements about them.
 
+The generator model: for alpha in (0, 1] and p >= 0, I_p(alpha Z) is
+the ideal generated by
+- the monomial level TildeV^{alpha+p}, the monomials x^m whose order
+  (weight or Newton order of x^m x_1 ... x_n) is at least alpha + p;
+- for k = 1, ..., p and every i_1, ..., i_k in 1..n, the chains
+  P(i_k, alpha + p - 1) ... P(i_2, alpha + p - k + 1) P(i_1, alpha + p - k)
+  applied to the monomials of order at least alpha + p - k.
+So I_0(alpha Z) is the monomial level alone.  The model is a theorem
+for weighted homogeneous f and a working hypothesis otherwise; the
+tests check it against the minimal exponent and the decrease in p.
+
 All ideal spans are truncated; soundness of every pruning step rests on
 two facts: the Jacobian span contains m^{N-2}, and the monomial
 filtration level s satisfies TildeV^s = span of monomials of order >= s,

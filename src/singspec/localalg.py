@@ -253,9 +253,9 @@ def milnor_algebra(f):
     J + m * m^{N-2}, so m^{N-2} is inside J by Nakayama (Greuel-Pfister,
     A Singular Introduction to Commutative Algebra, finite determinacy):
     mu is the truncated codimension and membership in J is exact.  N
-    grows by 4 while this fails; failure by N = %d means the singularity
-    is not isolated, and a larger starting degree raises
-    ResourceCapError.""" % N_MAX
+    grows by 4 while this fails; failure by N = %d, or past the Bezout
+    bound of _certified_algebra, means the singularity is not isolated,
+    and a larger starting degree raises ResourceCapError.""" % N_MAX
     return _certified_algebra(f, N_MAX)
 
 
