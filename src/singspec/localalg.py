@@ -331,8 +331,10 @@ def level_walk(space, order, span, stages=None):
         if len(span.rows.get(idx, ())) != 1:
             groups.setdefault(order.monomial_order(m), []).append(idx)
     levels = sorted(groups, reverse=True)
+    if stages is None:
+        stages = levels
     k = 0
-    for s in levels if stages is None else stages:
+    for s in stages:
         while k < len(levels) and levels[k] >= s:
             for idx in groups[levels[k]]:
                 span.insert({idx: Fraction(1)})
