@@ -482,7 +482,7 @@ def monotonicity_scan(f, hint=None, p=2):
                     reverse=True)
     span = ma.span.copy()  # the Jacobian span plus the walk's level
     violations = []
-    prev = None  # (alpha', survivors at alpha')
+    a_hi, sur_hi = None, []  # the previous scan point and its survivors
     for s in level_walk(space, order, span, [a + p for a in points]):
         # survivors: the generators of I_p(a Z) outside TildeV^s + J,
         # with their residues modulo the span at stage s
@@ -494,14 +494,12 @@ def monotonicity_scan(f, hint=None, p=2):
             if res:
                 cur.append(((G, mu), res))
                 span_a.insert(res)
-        if prev is not None:
-            a_hi, sur_hi = prev
-            for (G, mu), res in sur_hi:
-                res2 = span.reduce(res)
-                if res2 and not span_a.contains(res2):
-                    g = Polynomial(f.n, G) * Polynomial.monomial(f.n, mu)
-                    violations.append((a, a_hi, g.truncate(space.N)))
-                    break
-        prev = (a, cur)
+        for (G, mu), res in sur_hi:
+            res2 = span.reduce(res)
+            if res2 and not span_a.contains(res2):
+                g = Polynomial(f.n, G) * Polynomial.monomial(f.n, mu)
+                violations.append((a, a_hi, g.truncate(space.N)))
+                break
+        a_hi, sur_hi = a, cur
     violations.sort()
     return violations
